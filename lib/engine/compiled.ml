@@ -39,12 +39,16 @@ type cone = {
 let fanout_cone cp ~victim =
   if victim < 0 || victim >= cp.nsignals then
     invalid_arg "Compiled.fanout_cone: unknown signal";
+  (* A gate is a member iff its output is: a member signal other than
+     the victim is the output of a member gate (its only driver), and
+     the victim's driver is a member by definition.  So the signal
+     marks alone drive the walk, which touches only the cone. *)
   let smem = Bytes.make cp.nsignals '\000' in
-  let gmem = Bytes.make (max 1 cp.ngates) '\000' in
   Bytes.set smem victim '\001';
-  (match (Netlist.signal cp.circuit victim).Netlist.driver with
-  | Some g -> Bytes.set gmem g '\001'
-  | None -> ());
+  let gates =
+    ref (match (Netlist.signal cp.circuit victim).Netlist.driver with Some g -> [ g ] | None -> [])
+  in
+  let signals = ref [ victim ] in
   let work = ref [ victim ] in
   while !work <> [] do
     match !work with
@@ -53,45 +57,40 @@ let fanout_cone cp ~victim =
         work := rest;
         for e = cp.fan_off.(sid) to cp.fan_off.(sid + 1) - 1 do
           let g = cp.fan_gate.(e) in
-          if Bytes.get gmem g = '\000' then begin
-            Bytes.set gmem g '\001';
-            let out = cp.g_out.(g) in
-            if Bytes.get smem out = '\000' then begin
-              Bytes.set smem out '\001';
-              work := out :: !work
-            end
+          let out = cp.g_out.(g) in
+          if Bytes.get smem out = '\000' then begin
+            Bytes.set smem out '\001';
+            gates := g :: !gates;
+            signals := out :: !signals;
+            work := out :: !work
           end
         done
   done;
-  let gates = ref [] and signals = ref [] in
-  for g = cp.ngates - 1 downto 0 do
-    if Bytes.get gmem g = '\001' then gates := g :: !gates
-  done;
-  for s = cp.nsignals - 1 downto 0 do
-    if Bytes.get smem s = '\001' then signals := s :: !signals
-  done;
+  let gates = Array.of_list !gates and signals = Array.of_list !signals in
+  Array.sort Int.compare gates;
+  Array.sort Int.compare signals;
   (* Boundary feeds: cone-gate pins driven from outside the cone.  A
      cone-restricted run replays the baseline crossings of these pins
      verbatim — the rest of the circuit cannot be perturbed by the
      victim, so its waveforms are already final. *)
   let bnd_gate = ref [] and bnd_pin = ref [] in
-  List.iter
-    (fun g ->
-      let base = cp.g_base.(g) in
-      for pin = 0 to cp.g_base.(g + 1) - base - 1 do
-        if Bytes.get smem cp.pin_fanin.(base + pin) = '\000' then begin
-          bnd_gate := g :: !bnd_gate;
-          bnd_pin := pin :: !bnd_pin
-        end
-      done)
-    (List.rev !gates);
+  for k = Array.length gates - 1 downto 0 do
+    let g = gates.(k) in
+    let base = cp.g_base.(g) in
+    for pin = cp.g_base.(g + 1) - base - 1 downto 0 do
+      if Bytes.get smem cp.pin_fanin.(base + pin) = '\000' then begin
+        bnd_gate := g :: !bnd_gate;
+        bnd_pin := pin :: !bnd_pin
+      end
+    done
+  done;
   {
     cone_victim = victim;
-    cone_gates = Array.of_list !gates;
-    cone_signals = Array.of_list !signals;
+    cone_gates = gates;
+    cone_signals = signals;
     cone_signal_member = smem;
-    cone_bnd_gate = Array.of_list (List.rev !bnd_gate);
-    cone_bnd_pin = Array.of_list (List.rev !bnd_pin);
+    cone_bnd_gate = Array.of_list !bnd_gate;
+    cone_bnd_pin = Array.of_list !bnd_pin;
   }
 
 let compile ?(overlay = Param_overlay.empty) tech c =

@@ -55,7 +55,7 @@ val compile :
 
     The static region a perturbation of one signal can reach: the
     substrate of incremental fault-campaign re-simulation
-    ({!Iddm.start_cone}, {!Sim.Cone}). *)
+    ({!Iddm.run_cone}, {!Sim.Cone}). *)
 
 type cone = {
   cone_victim : int;  (** the perturbed signal *)

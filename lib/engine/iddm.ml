@@ -69,6 +69,11 @@ type pin_queue = {
   mutable pq_tail : int;
 }
 
+(* The empty deque of a pin that has never had an event.  Shared and
+   never written: {!pin_queue} replaces it before the first push, and
+   every other write to a deque happens only when it is non-empty. *)
+let no_queue = { pq_buf = [||]; pq_head = 0; pq_tail = 0 }
+
 let pq_push pq slot =
   let cap = Array.length pq.pq_buf in
   if pq.pq_tail = cap then begin
@@ -116,6 +121,8 @@ type state = {
   pin_vt : float array; (* pin slot -> switching threshold *)
   pin_level : Bytes.t; (* pin slot -> current logic level, '\000' / '\001' *)
   pending : pin_queue array; (* pin slot -> live scheduled events; [||] = off *)
+  (* [pending] entries start as the shared [no_queue]; a pin's own deque
+     is allocated at its first event (see {!pin_queue}) *)
   fan_off : int array; (* signal -> first fanout edge; length nsignals + 1 *)
   fan_gate : int array; (* fanout edge -> loading gate *)
   fan_pin : int array; (* fanout edge -> pin of that gate *)
@@ -140,7 +147,7 @@ type state = {
   mutable frozen_on : bool; (* cheap gate on the frozen lookups *)
   mutable rev_frozen : (int * float) list;
   mutable stop : Stop.t; (* Completed until a guardrail trips *)
-  (* Replay-hazard bookkeeping: cone re-simulation (see {!start_cone})
+  (* Replay-hazard bookkeeping: cone re-simulation (see {!run_cone})
      reconstructs a pin's event history from the {e final} baseline
      waveform of its driving signal.  That reconstruction is exact
      except in one case: a degradation delay of tp <= 0 makes a gate
@@ -234,6 +241,15 @@ let eval_gate kind lv base n =
   | Oai21 -> not ((v 0 || v 1) && v 2)
   | Mux2 -> if v 2 then v 1 else v 0
 
+let pin_queue st slot =
+  let pq = st.pending.(slot) in
+  if pq != no_queue then pq
+  else begin
+    let pq = { pq_buf = [||]; pq_head = 0; pq_tail = 0 } in
+    st.pending.(slot) <- pq;
+    pq
+  end
+
 let schedule st ~key ~gate ~pin ~slot ~rising ~tau_in =
   let ev = alloc_event st in
   st.ev_gate.(ev) <- gate;
@@ -243,7 +259,7 @@ let schedule st ~key ~gate ~pin ~slot ~rising ~tau_in =
   Bytes.set st.ev_rising ev (if rising then '\001' else '\000');
   Bytes.set st.ev_dead ev '\000';
   ignore (Heap.Unboxed.insert st.queue ~key ~rank:slot ev);
-  if st.cfg.cancellation then pq_push st.pending.(slot) ev;
+  if st.cfg.cancellation then pq_push (pin_queue st slot) ev;
   st.stats.Stats.events_scheduled <- st.stats.Stats.events_scheduled + 1
 
 (* Fig. 4's "delete Ej-1": drop every pending event on this input whose
@@ -267,7 +283,8 @@ let cancel_invalidated st ~slot ~from_time =
     st.stats.Stats.events_filtered <- st.stats.Stats.events_filtered + 1;
     decr i
   done;
-  pq.pq_tail <- !i + 1
+  (* an empty deque (possibly the shared [no_queue]) is left untouched *)
+  if !i + 1 < pq.pq_tail then pq.pq_tail <- !i + 1
 
 (* Propagate a freshly appended transition on [sid] to its fanout:
    cancel invalidated pending events, then schedule the new crossing. *)
@@ -402,30 +419,60 @@ type session = {
   mutable s_done : bool;
 }
 
+(* The circuit-sized arrays of a run.  A full run allocates them
+   fresh; a {!cone_scratch} owns one set for all its cone runs and
+   resets only the cone's entries after each, so a cone run costs what
+   its cone does. *)
+type slots = {
+  sl_wf : Waveform.t array;
+  sl_pin_level : Bytes.t;
+  sl_out_target : bool array;
+  sl_pending : pin_queue array;
+  sl_last_pop : float array;
+  sl_frozen : Bytes.t;
+}
+
+(* Pin slot [p]'s level byte at the DC operating point [levels]. *)
+let dc_pin_level (cp : Compiled.t) levels p =
+  if levels.(cp.Compiled.pin_fanin.(p)) then '\001' else '\000'
+
+(* Slots at the DC operating point [levels], around the waveform array
+   [wf] (whose seeding policy is the caller's). *)
+let dc_slots cfg (cp : Compiled.t) ~levels ~wf =
+  let npins = cp.Compiled.npins in
+  let pin_level = Bytes.make (max 1 npins) '\000' in
+  for p = 0 to npins - 1 do
+    Bytes.set pin_level p (dc_pin_level cp levels p)
+  done;
+  {
+    sl_wf = wf;
+    sl_pin_level = pin_level;
+    sl_out_target = Array.init cp.Compiled.ngates (fun gid -> levels.(cp.Compiled.g_out.(gid)));
+    sl_pending = (if cfg.cancellation then Array.make (max 1 npins) no_queue else [||]);
+    sl_last_pop = Array.make (max 1 npins) neg_infinity;
+    sl_frozen = Bytes.make cp.Compiled.nsignals '\000';
+  }
+
 (* The per-run state shared by a whole-circuit [start] and a
-   cone-restricted [start_cone]: everything except the waveform/level
-   seeding policy, which is the caller's. *)
-let make_state cfg c (cp : Compiled.t) ~wf ~pin_level ~out_target =
-  let nsignals = cp.Compiled.nsignals and npins = cp.Compiled.npins in
+   cone-restricted [start_cone]: everything except the slots, which are
+   the caller's. *)
+let make_state cfg c (cp : Compiled.t) sl =
   {
     cfg;
     c;
     rev_trace = [];
-    wf;
+    wf = sl.sl_wf;
     g_kind = cp.Compiled.g_kind;
     g_out = cp.Compiled.g_out;
     g_base = cp.Compiled.g_base;
     pin_fanin = cp.Compiled.pin_fanin;
     pin_vt = cp.Compiled.pin_vt;
-    pin_level;
-    pending =
-      (if cfg.cancellation then
-         Array.init npins (fun _ -> { pq_buf = [||]; pq_head = 0; pq_tail = 0 })
-       else [||]);
+    pin_level = sl.sl_pin_level;
+    pending = sl.sl_pending;
     fan_off = cp.Compiled.fan_off;
     fan_gate = cp.Compiled.fan_gate;
     fan_pin = cp.Compiled.fan_pin;
-    out_target;
+    out_target = sl.sl_out_target;
     queue = Heap.Unboxed.create ~capacity:64 ();
     ev_gate = [||];
     ev_pin = [||];
@@ -440,12 +487,12 @@ let make_state cfg c (cp : Compiled.t) ~wf ~pin_level ~out_target =
     max_tr =
       (match cfg.budget.Budget.max_transitions with Some n -> n | None -> max_int);
     stats = Stats.create ();
-    wd = Option.map (fun w -> Watchdog.create w ~nsignals) cfg.watchdog;
-    frozen = Bytes.make nsignals '\000';
+    wd = Option.map (fun w -> Watchdog.create w ~nsignals:cp.Compiled.nsignals) cfg.watchdog;
+    frozen = sl.sl_frozen;
     frozen_on = false;
     rev_frozen = [];
     stop = Stop.Completed;
-    last_pop = Array.make (max 1 npins) neg_infinity;
+    last_pop = sl.sl_last_pop;
     replay_hazard = false;
   }
 
@@ -475,6 +522,15 @@ let make_session st =
   { st; monitor; s_horizon = horizon; s_horizon_stop = horizon_stop;
     s_end_time = 0.; s_done = false }
 
+(* A caller-supplied compiled structure must be for exactly this run's
+   netlist, technology and parameter corner. *)
+let check_compiled who (cp : Compiled.t) cfg c =
+  let refuse what = invalid_arg (who ^ ": compiled structure is for a different " ^ what) in
+  if cp.Compiled.circuit != c then refuse "netlist";
+  if cp.Compiled.tech != cfg.tech then refuse "technology";
+  if not (Halotis_tech.Param_overlay.equal cp.Compiled.overlay cfg.overlay) then
+    refuse "overlay"
+
 let start ?(injections = []) ?compiled cfg c ~drives =
   let drives_tbl = Hashtbl.create 16 in
   List.iter
@@ -492,30 +548,15 @@ let start ?(injections = []) ?compiled cfg c ~drives =
   let cp =
     match compiled with
     | Some cp ->
-        if cp.Compiled.circuit != c then
-          invalid_arg "Iddm.start: compiled structure is for a different netlist";
-        if cp.Compiled.tech != cfg.tech then
-          invalid_arg "Iddm.start: compiled structure is for a different technology";
-        if not (Halotis_tech.Param_overlay.equal cp.Compiled.overlay cfg.overlay)
-        then
-          invalid_arg "Iddm.start: compiled structure is for a different overlay";
+        check_compiled "Iddm.start" cp cfg c;
         cp
     | None -> Compiled.compile ~overlay:cfg.overlay cfg.tech c
   in
-  let nsignals = cp.Compiled.nsignals and npins = cp.Compiled.npins in
-  let ngates = cp.Compiled.ngates in
   let wf =
-    Array.init nsignals (fun sid ->
+    Array.init cp.Compiled.nsignals (fun sid ->
         Waveform.create ~initial:(if levels.(sid) then vdd else 0.) ~vdd ())
   in
-  let pin_level = Bytes.make (max 1 npins) '\000' in
-  for p = 0 to npins - 1 do
-    Bytes.set pin_level p (if levels.(cp.Compiled.pin_fanin.(p)) then '\001' else '\000')
-  done;
-  let out_target =
-    Array.init ngates (fun gid -> levels.(cp.Compiled.g_out.(gid)))
-  in
-  let st = make_state cfg c cp ~wf ~pin_level ~out_target in
+  let st = make_state cfg c cp (dc_slots cfg cp ~levels ~wf) in
   (* Seed: apply the primary-input drives, then schedule the crossings
      the finished input waveforms actually contain. *)
   Hashtbl.iter
@@ -553,39 +594,65 @@ let start ?(injections = []) ?compiled cfg c ~drives =
    as the full run did.  From there the cone evolves under the same
    kernel as a full run; with the injection spliced in, the delta
    against the baseline cone run equals the full-run delta, which is
-   all campaign classification consumes. *)
-let start_cone ?(injections = []) ~compiled:cp ~(cone : Compiled.cone) ~(baseline : result)
-    ~levels cfg c =
-  if cp.Compiled.circuit != c then
-    invalid_arg "Iddm.start_cone: compiled structure is for a different netlist";
-  if cp.Compiled.tech != cfg.tech then
-    invalid_arg "Iddm.start_cone: compiled structure is for a different technology";
-  if not (Halotis_tech.Param_overlay.equal cp.Compiled.overlay cfg.overlay) then
-    invalid_arg "Iddm.start_cone: compiled structure is for a different overlay";
+   all campaign classification consumes.
+
+   The circuit-sized slots are built once per scratch, at the DC point
+   with every waveform aliasing the baseline.  A cone run writes only
+   its members — the cone is closed under fanout and injections must
+   stay inside it — so seeding and resetting walk the cone, never the
+   circuit. *)
+type cone_scratch = {
+  cs_cfg : config;
+  cs_c : Netlist.t;
+  cs_cp : Compiled.t;
+  cs_baseline : Waveform.t array;
+  cs_levels : bool array;
+  cs_slots : slots;
+  mutable cs_busy : bool;
+}
+
+let cone_scratch ~compiled:cp ~(baseline : result) ~levels cfg c =
+  check_compiled "Iddm.cone_scratch" cp cfg c;
   if not cfg.cancellation then
     (* without Fig. 4 cancellation, processed events and final-waveform
        crossings no longer coincide, so the seeding below is unsound *)
-    invalid_arg "Iddm.start_cone: requires event cancellation";
-  let nsignals = cp.Compiled.nsignals and npins = cp.Compiled.npins in
-  let ngates = cp.Compiled.ngates in
+    invalid_arg "Iddm.cone_scratch: requires event cancellation";
+  let nsignals = cp.Compiled.nsignals in
   if Array.length baseline.waveforms <> nsignals then
-    invalid_arg "Iddm.start_cone: baseline is for a different netlist";
+    invalid_arg "Iddm.cone_scratch: baseline is for a different netlist";
   if Array.length levels <> nsignals then
-    invalid_arg "Iddm.start_cone: DC level array is for a different netlist";
-  let vdd = Tech.vdd cfg.tech in
+    invalid_arg "Iddm.cone_scratch: DC level array is for a different netlist";
+  {
+    cs_cfg = cfg;
+    cs_c = c;
+    cs_cp = cp;
+    cs_baseline = baseline.waveforms;
+    cs_levels = levels;
+    cs_slots = dc_slots cfg cp ~levels ~wf:(Array.copy baseline.waveforms);
+    cs_busy = false;
+  }
+
+let start_cone ~injections sc ~(cone : Compiled.cone) =
+  let cfg = sc.cs_cfg and sl = sc.cs_slots in
   let member = cone.Compiled.cone_signal_member in
-  let wf =
-    Array.init nsignals (fun sid ->
-        if Bytes.get member sid = '\001' then
-          Waveform.create ~initial:(if levels.(sid) then vdd else 0.) ~vdd ()
-        else baseline.waveforms.(sid))
-  in
-  let pin_level = Bytes.make (max 1 npins) '\000' in
-  for p = 0 to npins - 1 do
-    Bytes.set pin_level p (if levels.(cp.Compiled.pin_fanin.(p)) then '\001' else '\000')
-  done;
-  let out_target = Array.init ngates (fun gid -> levels.(cp.Compiled.g_out.(gid))) in
-  let st = make_state cfg c cp ~wf ~pin_level ~out_target in
+  if Bytes.length member <> sc.cs_cp.Compiled.nsignals then
+    invalid_arg "Iddm.run_cone: cone is for a different netlist";
+  (* validate before touching the slots, so a refusal leaves them clean *)
+  List.iter
+    (fun inj ->
+      if inj.inj_signal < 0 || inj.inj_signal >= Bytes.length member then
+        invalid_arg "Iddm.run_cone: injection on unknown signal";
+      (* an injection outside the cone would append to an aliased
+         baseline waveform — a correctness bug, not a fallback case *)
+      if Bytes.get member inj.inj_signal <> '\001' then
+        invalid_arg "Iddm.run_cone: injection outside the cone")
+    injections;
+  let vdd = Tech.vdd cfg.tech in
+  Array.iter
+    (fun sid ->
+      sl.sl_wf.(sid) <- Waveform.create ~initial:(if sc.cs_levels.(sid) then vdd else 0.) ~vdd ())
+    cone.Compiled.cone_signals;
+  let st = make_state cfg sc.cs_c sc.cs_cp sl in
   (* Seed: replay each boundary feed's final baseline waveform into the
      cone, the same way [start] replays primary-input drives. *)
   Array.iteri
@@ -603,17 +670,30 @@ let start_cone ?(injections = []) ~compiled:cp ~(cone : Compiled.cone) ~(baselin
             ~tau_in:tr.Transition.slope_time)
         (Waveform.crossings_with_transitions st.wf.(sid) ~vt:st.pin_vt.(slot)))
     cone.Compiled.cone_bnd_gate;
-  List.iter
-    (fun inj ->
-      if inj.inj_signal < 0 || inj.inj_signal >= nsignals then
-        invalid_arg "Iddm.start_cone: injection on unknown signal";
-      (* an injection outside the cone would append to an aliased
-         baseline waveform — a correctness bug, not a fallback case *)
-      if Bytes.get member inj.inj_signal <> '\001' then
-        invalid_arg "Iddm.start_cone: injection outside the cone";
-      add_injection st inj)
-    injections;
+  List.iter (add_injection st) injections;
   make_session st
+
+(* Undo a cone run's writes to the scratch slots: member waveforms back
+   to the baseline's, the cone gates' pins and outputs back to the DC
+   point with empty deques, and the watchdog's freezes (listed in the
+   run) lifted. *)
+let reset_cone sc st (cone : Compiled.cone) =
+  let sl = sc.cs_slots and cp = sc.cs_cp and levels = sc.cs_levels in
+  Array.iter (fun sid -> sl.sl_wf.(sid) <- sc.cs_baseline.(sid)) cone.Compiled.cone_signals;
+  Array.iter
+    (fun g ->
+      sl.sl_out_target.(g) <- levels.(cp.Compiled.g_out.(g));
+      for p = cp.Compiled.g_base.(g) to cp.Compiled.g_base.(g + 1) - 1 do
+        Bytes.set sl.sl_pin_level p (dc_pin_level cp levels p);
+        sl.sl_last_pop.(p) <- neg_infinity;
+        let pq = sl.sl_pending.(p) in
+        if pq != no_queue then begin
+          pq.pq_head <- 0;
+          pq.pq_tail <- 0
+        end
+      done)
+    cone.Compiled.cone_gates;
+  List.iter (fun (s, _) -> Bytes.set sl.sl_frozen s '\000') st.rev_frozen
 
 let snapshot sess =
   let st = sess.st in
@@ -713,6 +793,16 @@ let advance sess ~upto =
 
 let run ?injections ?compiled cfg c ~drives =
   advance (start ?injections ?compiled cfg c ~drives) ~upto:infinity
+
+let run_cone ?(injections = []) sc ~cone f =
+  if sc.cs_busy then invalid_arg "Iddm.run_cone: the scratch is already running a cone";
+  let sess = start_cone ~injections sc ~cone in
+  sc.cs_busy <- true;
+  Fun.protect
+    ~finally:(fun () ->
+      reset_cone sc sess.st cone;
+      sc.cs_busy <- false)
+    (fun () -> f (advance sess ~upto:infinity))
 
 (* Fresh stimulus can wake a quiesced session; a guardrail stop is
    final. *)

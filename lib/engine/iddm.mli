@@ -85,7 +85,7 @@ type result = {
           its output ramp from a start at or before a crossing some
           loading pin had popped, so that crossing is absent from the
           final waveform even though its consequences happened.  A
-          cone replay seeded from final waveforms ({!start_cone})
+          cone replay seeded from final waveforms ({!run_cone})
           cannot reconstruct such a history — the soundness gate of
           {!Sim.Cone}.  Equal-key pop order itself is never a hazard:
           the event queue breaks ties by intrinsic pin-slot rank, so
@@ -155,34 +155,6 @@ val start :
 (** Validates, seeds drives and injections, and returns without
     processing any event.  Same contract (and exceptions) as {!run}. *)
 
-val start_cone :
-  ?injections:injection list ->
-  compiled:Compiled.t ->
-  cone:Compiled.cone ->
-  baseline:result ->
-  levels:bool array ->
-  config ->
-  Halotis_netlist.Netlist.t ->
-  session
-(** A run restricted to a {!Compiled.cone}: fresh waveforms for the
-    cone's member signals, [baseline]'s finished waveforms aliased
-    read-only everywhere else, and the event queue seeded by replaying
-    each boundary feed's baseline crossings (the cone's closure under
-    fanout guarantees nothing ever escapes, so no runtime frontier
-    check is needed).  [levels] must be the baseline's DC operating
-    point ({!Dc.levels} of the same drives).
-
-    Soundness requires the baseline to be [Completed] with
-    [replay_hazard = false]; the cone session's own [replay_hazard]
-    must be checked by the caller before trusting its delta (see
-    {!Sim.Cone}, which drives both checks and falls back to a full run
-    otherwise).  Every injection must name a cone member signal — an
-    outside splice would write an aliased baseline waveform.
-    @raise Invalid_argument on compiled/baseline/levels mismatches, an
-    out-of-cone injection, or [config.cancellation = false] (without
-    cancellation, processed events and final-waveform crossings no
-    longer coincide, so the boundary seeding is unsound). *)
-
 val advance : session -> upto:Halotis_util.Units.time -> result
 (** Processes every queued event with instant [<= upto] (clamped to the
     run's horizon), then snapshots.  [upto = infinity] finishes the
@@ -214,6 +186,51 @@ val session_finished : session -> bool
 
 val session_result : session -> result
 (** Snapshot without advancing (same aliasing caveat as {!advance}). *)
+
+(** {1 Cone-restricted runs} *)
+
+type cone_scratch
+(** The circuit-sized state that every cone run of one baseline shares:
+    built once, then seeded and reset per run over the cone's members
+    only, so a cone run costs what its cone does, not what the circuit
+    does.  Single-threaded; one cone run at a time. *)
+
+val cone_scratch :
+  compiled:Compiled.t ->
+  baseline:result ->
+  levels:bool array ->
+  config ->
+  Halotis_netlist.Netlist.t ->
+  cone_scratch
+(** Scratch for runs restricted to {!Compiled.cone}s of [baseline]'s
+    circuit.  [levels] must be the baseline's DC operating point
+    ({!Dc.levels} of the same drives).  Soundness of every later run
+    requires the baseline to be [Completed] with [replay_hazard =
+    false] (see {!Sim.Cone}, which checks both).
+    @raise Invalid_argument on compiled/baseline/levels mismatches, or
+    [config.cancellation = false] (without cancellation, processed
+    events and final-waveform crossings no longer coincide, so the
+    boundary seeding is unsound). *)
+
+val run_cone :
+  ?injections:injection list -> cone_scratch -> cone:Compiled.cone -> (result -> 'a) -> 'a
+(** [run_cone scratch ~cone f] runs the cone to completion and returns
+    [f] of the result: fresh waveforms for the cone's member signals,
+    the baseline's finished waveforms aliased read-only everywhere
+    else, and the event queue seeded by replaying each boundary feed's
+    baseline crossings (the cone's closure under fanout guarantees
+    nothing ever escapes, so no runtime frontier check is needed).
+    The result's own [replay_hazard] must be checked before trusting
+    its delta.
+
+    The result's [waveforms] array belongs to the scratch and is reset
+    when [f] returns: [f] must copy out what it keeps (a member's
+    waveform itself, its stats and flags stay valid) and must not let
+    the result escape.  Every injection must name a cone member signal
+    — an outside splice would write an aliased baseline waveform.
+    @raise Invalid_argument on an out-of-cone injection, a cone of
+    another netlist, or a call from inside another [run_cone]'s [f] on
+    the same scratch. *)
 
 val waveform : result -> string -> Halotis_wave.Waveform.t
 (** Looks a signal's waveform up by name.

@@ -238,18 +238,15 @@ module Cone = struct
   }
 
   (* Per-victim memo: campaigns strike the same driver outputs many
-     times, and the cone plus its baseline replay depend only on the
-     victim. *)
-  type victim_entry = { ve_cone : Compiled_.cone; ve_base : Iddm.result }
+     times, and the cone plus its baseline replay's counters depend only
+     on the victim. *)
+  type victim_entry = { ve_cone : Compiled_.cone; ve_stats : Stats.t }
   type victim_state = Good of victim_entry | Bad of string
 
   type ctx = {
-    cx_engine : engine;
-    cx_spec : spec;
-    cx_cfg : Iddm.config;
+    cx_circuit : Netlist.t;
     cx_compiled : Compiled_.t;
-    cx_levels : bool array;
-    cx_baseline : Iddm.result;
+    cx_scratch : Iddm.cone_scratch;
     cx_base_edges : Digital.edge list array; (* full-baseline digitized view *)
     cx_base_stats : Stats.t;
     cx_vt : Halotis_util.Units.voltage;
@@ -262,7 +259,9 @@ module Cone = struct
 
   type outcome =
     | Exact of {
-        edges : Digital.edge list array;
+        edges : Digital.edge list array Lazy.t;
+        cone_signals : Netlist.signal_id array;
+        cone_edges : Digital.edge list array;
         stats : Stats.t;
         cone_gates : int;
         cone_events : int;
@@ -292,15 +291,14 @@ module Cone = struct
                   | Some (d : Drive.t) -> d.Drive.initial
                   | None -> false
                 in
+                let compiled = Compiled_.compile ~overlay:spec.sp_overlay spec.sp_tech c in
                 Some
                   {
-                    cx_engine = engine;
-                    cx_spec = spec;
-                    cx_cfg = iddm_config engine spec;
-                    cx_compiled =
-                      Compiled_.compile ~overlay:spec.sp_overlay spec.sp_tech c;
-                    cx_levels = Dc.levels c ~input_level;
-                    cx_baseline = br;
+                    cx_circuit = c;
+                    cx_compiled = compiled;
+                    cx_scratch =
+                      Iddm.cone_scratch ~compiled ~baseline:br
+                        ~levels:(Dc.levels c ~input_level) (iddm_config engine spec) c;
                     cx_base_edges = Lazy.force baseline.rs_edges;
                     cx_base_stats = baseline.rs_stats;
                     cx_vt = baseline.rs_vt;
@@ -312,12 +310,12 @@ module Cone = struct
                   }
               end)
 
-  let run_cone ctx ~cone ~injections =
-    Iddm.advance
-      (Iddm.start_cone ~injections ~compiled:ctx.cx_compiled ~cone
-         ~baseline:ctx.cx_baseline ~levels:ctx.cx_levels ctx.cx_cfg
-         ctx.cx_spec.sp_circuit)
-      ~upto:infinity
+  (* The reason a finished cone run cannot be trusted, if any. *)
+  let untrusted what (r : Iddm.result) =
+    if not (Stop.completed r.Iddm.stopped_by) then Some (what ^ " tripped a guardrail")
+    else if r.Iddm.replay_hazard then Some (what ^ " hit a replay hazard")
+    else if r.Iddm.frozen <> [] then Some (what ^ " froze signals")
+    else None
 
   (* The baseline cone replay must land exactly on the full baseline:
      completed, hazard-free, and digitizing to the same edges on every
@@ -329,23 +327,22 @@ module Cone = struct
     | Some st -> st
     | None ->
         let st =
-          if (Netlist.signal ctx.cx_spec.sp_circuit victim).Netlist.driver = None then
+          if (Netlist.signal ctx.cx_circuit victim).Netlist.driver = None then
             Bad "victim has no driver gate (primary input or constant)"
           else begin
             let cone = Compiled_.fanout_cone ctx.cx_compiled ~victim in
-            let base = run_cone ctx ~cone ~injections:[] in
-            if not (Stop.completed base.Iddm.stopped_by) then
-              Bad "baseline cone replay tripped a guardrail"
-            else if base.Iddm.replay_hazard then Bad "baseline cone replay hazard"
-            else if base.Iddm.frozen <> [] then Bad "baseline cone replay froze signals"
-            else if
-              Array.exists
-                (fun sid ->
-                  Digital.edges base.Iddm.waveforms.(sid) ~vt:ctx.cx_vt
-                  <> ctx.cx_base_edges.(sid))
-                cone.Compiled_.cone_signals
-            then Bad "baseline cone replay diverged from the baseline"
-            else Good { ve_cone = cone; ve_base = base }
+            Iddm.run_cone ctx.cx_scratch ~cone (fun base ->
+                match untrusted "baseline cone replay" base with
+                | Some why -> Bad why
+                | None ->
+                    if
+                      Array.exists
+                        (fun sid ->
+                          Digital.edges base.Iddm.waveforms.(sid) ~vt:ctx.cx_vt
+                          <> ctx.cx_base_edges.(sid))
+                        cone.Compiled_.cone_signals
+                    then Bad "baseline cone replay diverged from the baseline"
+                    else Good { ve_cone = cone; ve_stats = base.Iddm.stats })
           end
         in
         Hashtbl.replace ctx.cx_victims victim st;
@@ -361,35 +358,38 @@ module Cone = struct
     else
       match victim_entry ctx i.inj_signal with
       | Bad reason -> fallback reason
-      | Good { ve_cone; ve_base } -> (
-          let inj =
-            run_cone ctx ~cone:ve_cone
-              ~injections:[ { Iddm.inj_signal = i.inj_signal; inj_transitions = i.inj_ramps } ]
-          in
-          if not (Stop.completed inj.Iddm.stopped_by) then
-            fallback "injected cone run tripped a guardrail"
-          else if inj.Iddm.replay_hazard then fallback "injected cone run replay hazard"
-          else if inj.Iddm.frozen <> [] then fallback "injected cone run froze signals"
-          else begin
-            (* Graft: member signals re-digitized from the injected cone
-               run, every other signal aliasing the baseline edge list
-               (structurally — and physically — equal, so classification
-               compares them for free).  The stats are the baseline's
-               plus the cone delta, which equals the full-run counters
-               exactly when the runs are order-deterministic. *)
-            let edges = Array.copy ctx.cx_base_edges in
-            Array.iter
-              (fun sid -> edges.(sid) <- Digital.edges inj.Iddm.waveforms.(sid) ~vt:ctx.cx_vt)
-              ve_cone.Compiled_.cone_signals;
-            let stats = Stats.copy ctx.cx_base_stats in
-            Stats.merge stats (Stats.diff inj.Iddm.stats ve_base.Iddm.stats);
-            let cone_gates = Array.length ve_cone.Compiled_.cone_gates in
-            let cone_events = inj.Iddm.stats.Stats.events_processed in
-            ctx.cx_exact <- ctx.cx_exact + 1;
-            ctx.cx_cone_gates <- ctx.cx_cone_gates + cone_gates;
-            ctx.cx_cone_events <- ctx.cx_cone_events + cone_events;
-            Exact { edges; stats; cone_gates; cone_events }
-          end)
+      | Good { ve_cone; ve_stats } ->
+          let injections = [ { Iddm.inj_signal = i.inj_signal; inj_transitions = i.inj_ramps } ] in
+          Iddm.run_cone ctx.cx_scratch ~cone:ve_cone ~injections (fun inj ->
+              match untrusted "injected cone run" inj with
+              | Some why -> fallback why
+              | None ->
+                  (* Graft: member signals re-digitized from the injected
+                     cone run, every other signal the baseline's own edge
+                     list.  The stats are the baseline's plus the cone
+                     delta, which equals the full-run counters exactly
+                     when the runs are order-deterministic. *)
+                  let cone_signals = ve_cone.Compiled_.cone_signals in
+                  let cone_edges =
+                    Array.map
+                      (fun sid -> Digital.edges inj.Iddm.waveforms.(sid) ~vt:ctx.cx_vt)
+                      cone_signals
+                  in
+                  let base_edges = ctx.cx_base_edges in
+                  let edges =
+                    lazy
+                      (let e = Array.copy base_edges in
+                       Array.iteri (fun k sid -> e.(sid) <- cone_edges.(k)) cone_signals;
+                       e)
+                  in
+                  let stats = Stats.copy ctx.cx_base_stats in
+                  Stats.merge stats (Stats.diff inj.Iddm.stats ve_stats);
+                  let cone_gates = Array.length ve_cone.Compiled_.cone_gates in
+                  let cone_events = inj.Iddm.stats.Stats.events_processed in
+                  ctx.cx_exact <- ctx.cx_exact + 1;
+                  ctx.cx_cone_gates <- ctx.cx_cone_gates + cone_gates;
+                  ctx.cx_cone_events <- ctx.cx_cone_events + cone_events;
+                  Exact { edges; cone_signals; cone_edges; stats; cone_gates; cone_events })
 
   let totals ctx =
     {

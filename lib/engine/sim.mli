@@ -162,10 +162,19 @@ module Cone : sig
 
   type outcome =
     | Exact of {
-        edges : Halotis_wave.Digital.edge list array;
+        edges : Halotis_wave.Digital.edge list array Lazy.t;
             (** per-signal digitized edges of the injected run: cone
                 members re-digitized, all others aliasing the baseline
-                lists *)
+                lists.  Built on demand, since it costs a copy of the
+                whole baseline view; [cone_signals] and [cone_edges]
+                carry the same information at the cone's size *)
+        cone_signals : Halotis_netlist.Netlist.signal_id array;
+            (** the victim's cone members, ascending — the only signals
+                whose edges can differ from the baseline's (shared with
+                the memoized cone: do not mutate) *)
+        cone_edges : Halotis_wave.Digital.edge list array;
+            (** the injected run's edges of [cone_signals.(k)] at
+                index [k] *)
         stats : Stats.t;
             (** baseline counters plus the cone delta — equal to the
                 full injected run's counters *)
@@ -176,16 +185,21 @@ module Cone : sig
 
   val create : engine -> spec -> baseline:result -> ctx option
   (** Compiles the circuit, captures the baseline's DC operating point
-      and digitized view, and arms the per-victim memo.  [spec] must be
-      the baseline's spec (same circuit, drives, tech, horizon) and
-      [baseline] its finished result on [engine].  Returns [None] —
+      and digitized view, builds the circuit-sized cone scratch (the
+      only circuit-sized work of a campaign's cone path), and arms the
+      per-victim memo.  [spec] must be the baseline's spec (same
+      circuit, drives, tech, horizon) and [baseline] its finished
+      result on [engine].  Returns [None] —
       incremental disabled for the whole campaign — for the classic
       engine, an engine/baseline mismatch, or a baseline that is
       truncated, watchdog-frozen or replay-hazardous. *)
 
   val run_site : ctx -> injection -> outcome
-  (** One injection site.  Cone construction and the clean cone replay
-      are memoized per victim signal; the injected cone run is fresh.
+  (** One injection site.  Cone construction and the clean cone replay's
+      counters are memoized per victim signal; the injected cone run is
+      fresh.  Every step costs the cone, not the circuit: the runs share
+      one circuit-sized {!Iddm.cone_scratch} that each resets over its
+      cone only.
       Falls back (never raises) on driverless victims, guardrail trips,
       replay hazards, or a cone replay that fails to reproduce the
       baseline edges. *)

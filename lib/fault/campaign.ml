@@ -114,40 +114,59 @@ type t = {
   cam_quarantined : (int * Site.t) list;
 }
 
-(* One injected run reduced to what classification needs: per-signal
-   digital edges and the engine counters. *)
-type observed = { ob_edges : Digital.edge list array; ob_stats : Stats.t }
+(* One injected run reduced to what classification needs: the engine
+   counters, and the digitized edges of every signal that may differ
+   from the baseline — [ob_edges.(k)] belongs to signal [ob_scope.(k)],
+   and any signal outside the scope has the baseline's edges.  A full
+   run's scope is every signal; a cone graft's is its cone, so
+   classifying it costs the cone, not the circuit. *)
+type observed = {
+  ob_scope : Netlist.signal_id array;
+  ob_edges : Digital.edge list array;
+  ob_stats : Stats.t;
+}
 
-let classify ~c ~is_classic ~(base : observed) ~(site : Site.t) (inj : observed) =
+(* [base] scopes every signal, so its edges index by signal id;
+   [po_rank.(sid)] is the position of [sid] among the (distinct, see
+   {!Halotis_netlist.Builder.mark_output}) primary outputs, or [-1]. *)
+let classify ~c ~is_classic ~po_rank ~(base : observed) ~(site : Site.t) (inj : observed) =
   let delta = Stats.diff inj.ob_stats base.ob_stats in
   let victim = site.Site.st_signal in
-  let differs sid = inj.ob_edges.(sid) <> base.ob_edges.(sid) in
-  let pos = Netlist.primary_outputs c in
-  let po_diff = List.filter differs pos in
-  let po_edges_delta =
-    List.fold_left
-      (fun acc sid ->
-        acc + List.length inj.ob_edges.(sid) - List.length base.ob_edges.(sid))
-      0 pos
-  in
+  let differs k = inj.ob_edges.(k) <> base.ob_edges.(inj.ob_scope.(k)) in
+  (* the first differing primary output in declaration order, and the
+     net edge-count change over the primary outputs (zero outside the
+     scope) *)
+  let first_po = ref (-1) and po_edges_delta = ref 0 in
+  Array.iteri
+    (fun k sid ->
+      let rank = po_rank.(sid) in
+      if rank >= 0 then begin
+        po_edges_delta :=
+          !po_edges_delta + List.length inj.ob_edges.(k) - List.length base.ob_edges.(sid);
+        if (!first_po < 0 || rank < po_rank.(!first_po)) && differs k then first_po := sid
+      end)
+    inj.ob_scope;
+  let po_diff = if !first_po < 0 then None else Some !first_po in
+  let po_edges_delta = !po_edges_delta in
   let outcome =
-    if po_diff <> [] then Propagated
+    if po_diff <> None then Propagated
     else begin
-      let downstream_differs =
-        Array.exists
-          (fun (s : Netlist.signal) ->
-            s.Netlist.signal_id <> victim && differs s.Netlist.signal_id)
-          (Netlist.signals c)
+      let n = Array.length inj.ob_scope in
+      let rec downstream_from k =
+        k < n && ((inj.ob_scope.(k) <> victim && differs k) || downstream_from (k + 1))
       in
+      let downstream_differs = downstream_from 0 in
       (* The classic engine records the forced victim toggles as
          emitted transitions; subtract them so only fanout responses
          count as electrical activity. *)
       let victim_extra =
-        List.length inj.ob_edges.(victim) - List.length base.ob_edges.(victim)
+        if not is_classic then 0
+        else
+          match Array.find_index (Int.equal victim) inj.ob_scope with
+          | Some k -> List.length inj.ob_edges.(k) - List.length base.ob_edges.(victim)
+          | None -> 0
       in
-      let emitted_downstream =
-        delta.Stats.transitions_emitted - if is_classic then victim_extra else 0
-      in
+      let emitted_downstream = delta.Stats.transitions_emitted - victim_extra in
       if downstream_differs then Electrically_masked
       else if
         emitted_downstream > 0
@@ -165,7 +184,7 @@ let classify ~c ~is_classic ~(base : observed) ~(site : Site.t) (inj : observed)
     vd_site = site;
     vd_outcome = outcome;
     vd_po_edges_delta = po_edges_delta;
-    vd_first_diff_output = (match po_diff with [] -> None | sid :: _ -> Some (Netlist.signal_name c sid));
+    vd_first_diff_output = Option.map (Netlist.signal_name c) po_diff;
     vd_stats = delta;
     vd_pruned = false;
   }
@@ -193,8 +212,11 @@ let run ?on_verdict cfg tech c ~drives =
         let prng = Prng.create ~seed:cfg.seed in
         Site.sample ~baseline:ddm_baseline ~prng ~n:cfg.n ~t0 ~t1
   in
+  let every_signal = Array.init (Netlist.signal_count c) Fun.id in
+  let po_rank = Array.make (Netlist.signal_count c) (-1) in
+  List.iteri (fun rank sid -> po_rank.(sid) <- rank) (Netlist.primary_outputs c);
   let observe (r : Sim.result) =
-    { ob_edges = Sim.edges r; ob_stats = r.Sim.rs_stats }
+    { ob_scope = every_signal; ob_edges = Sim.edges r; ob_stats = r.Sim.rs_stats }
   in
   let base_run =
     match cfg.engine with
@@ -255,7 +277,8 @@ let run ?on_verdict cfg tech c ~drives =
     | None -> run_site_full site
     | Some ctx -> (
         match Sim.Cone.run_site ctx (Inject.injection site cfg.pulse) with
-        | Sim.Cone.Exact { edges; stats; _ } -> { ob_edges = edges; ob_stats = stats }
+        | Sim.Cone.Exact { cone_signals; cone_edges; stats; _ } ->
+            { ob_scope = cone_signals; ob_edges = cone_edges; ob_stats = stats }
         | Sim.Cone.Fallback _ -> run_site_full site)
   in
   let is_classic = cfg.engine = Classic_inertial in
@@ -352,7 +375,7 @@ let run ?on_verdict cfg tech c ~drives =
               vd_stats = Stats.diff inj.ob_stats base.ob_stats;
               vd_pruned = false;
             }
-          else classify ~c ~is_classic ~base ~site inj
+          else classify ~c ~is_classic ~po_rank ~base ~site inj
     in
     (match on_verdict with Some f -> f idx v | None -> ());
     fresh := v :: !fresh
@@ -383,12 +406,6 @@ let run ?on_verdict cfg tech c ~drives =
     cam_cone = Option.map Sim.Cone.totals cone_ctx;
     cam_quarantined = List.map (fun i -> (i, site_arr.(i))) quarantined;
   }
-
-let run_legacy ?sites ?range ?(completed = []) ?(quarantined = []) ?limit
-    ?on_verdict cfg tech c ~drives =
-  run ?on_verdict
-    { cfg with sites; range; completed; quarantined; limit }
-    tech c ~drives
 
 let counts t =
   List.fold_left

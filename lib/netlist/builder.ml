@@ -169,8 +169,11 @@ let add_gate ?name ?input_vt ?(extra_load = 0.) b kind ~inputs ~output =
 
 let mark_output b id =
   check_live b;
-  (Vec.get b.sigs id).s_is_output <- true;
-  if not (List.mem id b.outputs) then b.outputs <- id :: b.outputs
+  let info = Vec.get b.sigs id in
+  if not info.s_is_output then begin
+    info.s_is_output <- true;
+    b.outputs <- id :: b.outputs
+  end
 
 let finalize b =
   check_live b;

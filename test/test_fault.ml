@@ -199,7 +199,7 @@ let test_classic_strike_not_preempted () =
    dynamically Propagated site is ever statically pruned. *)
 let prop_prune_sound =
   QCheck.Test.make ~name:"static pruning never changes a verdict" ~count:8
-    QCheck.(pair (int_range 10 35) (int_range 0 1000))
+    QCheck.(pair (oneof [ int_range 10 35; int_range 200 400 ]) (int_range 0 1000))
     (fun (gates, seed) ->
       let c, drives = Test_perf_equiv.workload ~gates ~seed in
       let engine = if seed land 1 = 0 then Campaign.Ddm else Campaign.Cdm in
@@ -361,7 +361,7 @@ let test_cone_exact_matches_full () =
           let full_edges = Sim.edges full in
           Array.iteri
             (fun sid es -> checkb "edges identical" true (es = full_edges.(sid)))
-            edges;
+            (Lazy.force edges);
           checkb "stats identical" true
             (stats = Halotis_engine.Stats.copy full.Sim.rs_stats))
     (Site.candidates c);
@@ -391,6 +391,80 @@ let test_cone_pi_victim_falls_back () =
   with
   | Sim.Cone.Fallback _ -> ()
   | Sim.Cone.Exact _ -> Alcotest.fail "primary-input victim must fall back"
+
+(* A site costs its cone, not the circuit: one exact cone site on a
+   fixed victim allocates the same with or without ten times as many
+   disjoint gates around it.  The slack covers the victim's
+   signal-membership bytes, the one circuit-sized allocation left per
+   cone (a memset, not a walk); re-building the circuit-sized kernel
+   state per site costs about a thousand words here.  Allocation is
+   read with [Gc.minor_words], which is exact on OCaml 5.1
+   ([Gc.allocated_bytes] and [Gc.counters] there miss minor
+   allocations made since the last collection); every block of these
+   small circuits fits the minor heap, so it sees them all. *)
+let test_cone_site_cost_independent_of_circuit () =
+  let module B = Halotis_netlist.Builder in
+  let module K = Halotis_logic.Gate_kind in
+  let build ~pad =
+    let b = B.create "core" in
+    let a = B.input b "a" and e = B.input b "e" in
+    let gate kind inputs name =
+      let y = B.signal b name in
+      ignore (B.add_gate b kind ~inputs ~output:y);
+      y
+    in
+    let v = gate K.Inv [ a ] "v" in
+    let w = gate (K.Nand 2) [ v; e ] "w" in
+    let x = gate (K.Nor 2) [ w; a ] "x" in
+    let y = gate K.Inv [ x ] "y" in
+    let z = gate (K.And 2) [ y; w ] "z" in
+    let q = gate K.Buf [ e ] "q" in
+    List.iter (B.mark_output b) [ z; q ];
+    (* padding: chains of inverters, each on its own input *)
+    for k = 0 to pad - 1 do
+      let s = ref (B.input b (Printf.sprintf "p%d" k)) in
+      for j = 0 to 9 do
+        s := gate K.Inv [ !s ] (Printf.sprintf "p%d_%d" k j)
+      done;
+      B.mark_output b !s
+    done;
+    B.finalize b
+  in
+  let site_words c =
+    let drives =
+      List.mapi
+        (fun k s ->
+          ( s,
+            Drive.of_levels ~slope:40. ~initial:false
+              [ (500. +. (37. *. float_of_int k), true); (2500., false); (4000., true) ] ))
+        (N.primary_inputs c)
+    in
+    let spec = Sim.spec ~drives ~t_stop:8000. ~tech:DL.tech c in
+    let ctx =
+      match Sim.Cone.create Sim.Ddm spec ~baseline:(Sim.run Sim.Ddm spec) with
+      | Some ctx -> ctx
+      | None -> Alcotest.fail "cone context refused a completed baseline"
+    in
+    let inj =
+      {
+        Sim.inj_signal = sid c "v";
+        inj_ramps = Inject.transitions ~at:1800. ~polarity:T.Rising (Inject.pulse ~width:150. ());
+      }
+    in
+    let before = Gc.minor_words () in
+    let outcome = Sim.Cone.run_site ctx inj in
+    let words = Gc.minor_words () -. before in
+    (match outcome with
+    | Sim.Cone.Exact { cone_gates; _ } -> checki "fixed cone" 5 cone_gates
+    | Sim.Cone.Fallback why -> Alcotest.failf "site fell back: %s" why);
+    words
+  in
+  let small = build ~pad:0 and large = build ~pad:6 in
+  checkb "padding is ten times the core" true (N.gate_count large >= 10 * N.gate_count small);
+  let w_small = site_words small and w_large = site_words large in
+  if Float.abs (w_large -. w_small) > 64. then
+    Alcotest.failf "site allocation grew with the circuit: %.0f words on %d gates, %.0f on %d"
+      w_small (N.gate_count small) w_large (N.gate_count large)
 
 (* Headline equivalence property: incremental and full campaigns agree
    byte-for-byte — reports and journal files — across random circuits,
@@ -521,6 +595,8 @@ let tests =
           test_cone_exact_matches_full;
         Alcotest.test_case "primary-input victim falls back" `Quick
           test_cone_pi_victim_falls_back;
+        Alcotest.test_case "site cost independent of circuit size" `Quick
+          test_cone_site_cost_independent_of_circuit;
         QCheck_alcotest.to_alcotest prop_incremental_equals_full;
         Alcotest.test_case "same-instant strike stays exact" `Quick
           test_cone_same_instant_strike_exact;

@@ -76,6 +76,26 @@ let test_builder_duplicate_names () =
        false
      with Invalid_argument _ -> true)
 
+(* Re-declaring an output is a no-op: each output is listed once, at its
+   first declaration, in both the builder and the HNL reader. *)
+let test_builder_duplicate_outputs () =
+  let names c = List.map (N.signal_name c) (N.primary_outputs c) in
+  let b = Builder.create "dup" in
+  let a = Builder.input b "a" in
+  let y1 = Builder.signal b "y1" and y2 = Builder.signal b "y2" in
+  let _ = Builder.add_gate b Gate_kind.Inv ~inputs:[ a ] ~output:y1 in
+  let _ = Builder.add_gate b Gate_kind.Buf ~inputs:[ a ] ~output:y2 in
+  List.iter (Builder.mark_output b) [ y2; y1; y2; y1; y2 ];
+  let c = Builder.finalize b in
+  Alcotest.(check (list string)) "builder: once each, declaration order" [ "y2"; "y1" ] (names c);
+  checkb "flagged" true ((N.signal c y1).N.is_primary_output && (N.signal c y2).N.is_primary_output);
+  match
+    Hnl.parse_string
+      "circuit dup\ninput a\noutput y2 y1 y2\noutput y1\ngate g1 inv y1 a\ngate g2 buf y2 a\nend\n"
+  with
+  | Ok c -> Alcotest.(check (list string)) "hnl: once each, declaration order" [ "y2"; "y1" ] (names c)
+  | Error e -> Alcotest.failf "parse error: %a" Hnl.pp_error e
+
 let test_builder_const_shared () =
   let b = Builder.create "c" in
   let z1 = Builder.const b Value.L0 in
@@ -611,6 +631,7 @@ let tests =
         Alcotest.test_case "drive input" `Quick test_builder_drive_input;
         Alcotest.test_case "arity mismatch" `Quick test_builder_arity_mismatch;
         Alcotest.test_case "duplicate names" `Quick test_builder_duplicate_names;
+        Alcotest.test_case "duplicate outputs" `Quick test_builder_duplicate_outputs;
         Alcotest.test_case "const shared" `Quick test_builder_const_shared;
         Alcotest.test_case "fresh names" `Quick test_builder_fresh_names_unique;
         Alcotest.test_case "fanout" `Quick test_fanout;
