@@ -1,16 +1,19 @@
-(* JOBS — multi-process campaign sharding (extension).
+(* JOBS — supervised multi-process fault campaigns (extension).
 
-   `halotis faults --jobs N` forks N workers over disjoint site ranges
-   of the same seeded enumeration and merges their verdict journals, so
-   the contract under test is twofold: the merged report must be
-   byte-identical to the serial run, and the wall-clock cost must scale
-   with the number of usable cores (on a single-core host the honest
-   expectation is parity plus a small fork/merge overhead, which this
-   experiment records rather than hides).
+   `halotis faults --jobs N` (N > 1) runs the campaign under the
+   supervisor: the seeded site enumeration is split into chunks, a pool
+   of N worker processes simulates them into per-chunk journals (one
+   fsync per verdict, with a heartbeat cursor), and the parent merges
+   the journals.  The contract under test is twofold: the merged
+   report must be byte-identical to the serial in-process `--jobs 1`
+   run, and the wall-clock cost must scale with the number of usable
+   cores.  The supervised path's fixed costs (a spawn per chunk, a
+   netlist parse and baseline per worker, per-verdict fsyncs, the merge)
+   are recorded here rather than hidden.
 
-   Unlike the in-process experiments this one must shell out: the shard
+   Unlike the in-process experiments this one must shell out: the
    workers re-exec the halotis binary, so the measurement is of the
-   real CLI path, fork and fsync included. *)
+   real CLI path, spawn and fsync included. *)
 
 open Common
 
@@ -49,7 +52,7 @@ let run_campaign ~jobs out =
   (dt, Digest.file out)
 
 let run () =
-  section "JOBS -- sharded fault campaigns: identity and scaling (extension)";
+  section "JOBS -- supervised fault campaigns: identity and scaling (extension)";
   Printf.printf "circuit mult4x4, %d injections, seed %d, host cores: %s\n\n" injections
     seed
     (try String.trim (In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all)
@@ -85,7 +88,7 @@ let run () =
       in
       [
         Experiment.make ~data ~exp_id:"JOBS"
-          ~title:"Sharded fault campaigns (extension)"
+          ~title:"Supervised fault campaigns (extension)"
           [
             Experiment.observation ~agrees:identical
               ~metric:"--jobs N report byte-identical to the serial run"
@@ -99,8 +102,8 @@ let run () =
                 (Printf.sprintf "best %.3f s at --jobs %d vs %.3f s serial" best_t
                    best_jobs serial_t)
               ~note:
-                "speedup requires multiple cores; on a 1-core host the \
-                 fork/journal overhead dominates"
+                "speedup requires multiple cores and enough work per chunk to \
+                 amortise the supervised path's spawn, parse and fsync costs"
               ();
           ];
       ])

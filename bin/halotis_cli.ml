@@ -359,8 +359,7 @@ let warn_stop stopped =
     Format.eprintf "halotis: simulation stopped early: %a@." Stop.pp stopped
 
 let run_simulate path stim_path model t_stop vcd_path diagram liberty report max_events
-    max_wall max_queue max_sim_time watchdog degrade wd_window wd_threshold json
-    checkpoint_path =
+    max_wall max_queue max_sim_time watchdog degrade wd_window wd_threshold json =
   let tech = load_tech liberty in
   let c = or_die (load_circuit path) in
   let stim = or_die (load_stimfile stim_path) in
@@ -413,17 +412,6 @@ let run_simulate path stim_path model t_stop vcd_path diagram liberty report max
           Vcd.write_file ?comment:(partial_comment r.Sim.rs_stopped_by) p (Sim.vcd_dumps r);
           Printf.eprintf "vcd written to %s\n" p
       | None -> ());
-      (match checkpoint_path with
-      | Some p when not (Stop.completed r.Sim.rs_stopped_by) -> (
-          match Sim.iddm r with
-          | Some _ ->
-              Halotis_engine.Checkpoint.write p (Halotis_engine.Checkpoint.of_result r);
-              Printf.eprintf "checkpoint written to %s (stopped by %s)\n" p
-                (Stop.to_string r.Sim.rs_stopped_by)
-          | None ->
-              prerr_endline
-                "halotis: --checkpoint needs a waveform engine (ddm or cdm); ignored")
-      | Some _ | None -> ());
       Stop.exit_code r.Sim.rs_stopped_by
   | `Analog ->
       let r = Asim.run (Asim.config ~t_stop:horizon tech) c ~drives in
@@ -563,9 +551,9 @@ let chaos_post cz ~journal =
   | _ -> ()
 
 let run_faults path stim_path engine n seed width slope t_stop exhaustive grid format
-    vcd_dir liberty journal_path resume_path limit_sites site_max_events jobs shard
-    range_spec supervise worker_timeout max_retries chunk_sites poison_after
-    prune_mode incremental keep_shards =
+    vcd_dir liberty journal_path resume_path limit_sites site_max_events jobs range_spec
+    worker_timeout max_retries chunk_sites poison_after prune_mode incremental
+    keep_shards =
   let tech = load_tech liberty in
   let c = or_die (load_circuit path) in
   let stim = or_die (load_stimfile stim_path) in
@@ -573,16 +561,13 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
   let jobs =
     if jobs > 0 then jobs
     else begin
-      let n = Halotis_fault.Shard.available_cores () in
+      let n = Shard.available_cores () in
       Printf.eprintf "faults: --jobs 0: using %d detected core%s\n%!" n
         (if n = 1 then "" else "s");
       n
     end
   in
-  let is_worker = shard <> None || range_spec <> None in
-  let supervised =
-    match supervise with `On -> true | `Off -> false | `Auto -> jobs > 1
-  in
+  let is_worker = range_spec <> None in
   let prune = prune_mode = `Static in
   (* the campaign silently ignores the flag in these cases; say why *)
   if prune && not is_worker then begin
@@ -595,12 +580,12 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
         "halotis: --prune static is disabled by --site-max-events (a budget-tripped \
          site must be able to report timed-out); all sites will be simulated"
   end;
-  if shard <> None && range_spec <> None then
-    usage_diag "--shard and --range are mutually exclusive";
-  if is_worker && jobs > 1 then
-    usage_diag "--shard/--range and --jobs are mutually exclusive";
+  if is_worker && jobs > 1 then usage_diag "--range and --jobs are mutually exclusive";
   if is_worker && limit_sites <> None then
     usage_diag "--limit-sites cannot be used inside a worker";
+  if jobs > 1 && limit_sites <> None then
+    usage_diag ~hint:"chunking is per worker range under --jobs"
+      "--limit-sites cannot be combined with --jobs";
   (* A worker's stderr should carry verdict progress, not N copies of
      the same preflight report the parent already printed. *)
   if not is_worker then preflight ~stim tech c;
@@ -630,6 +615,12 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
   let sites_total =
     match sites with Some s -> List.length s | None -> cfg.Campaign.n
   in
+  let cfg = { cfg with Campaign.sites } in
+  let circuit = N.name c in
+  (* sites a resumed journal has already decided *)
+  let decided (cfg : Campaign.config) =
+    List.length cfg.Campaign.completed + List.length cfg.Campaign.quarantined
+  in
   (* Checkpoint/resume: --journal starts a fresh journal, --resume
      loads one and keeps appending to it. *)
   (match (journal_path, resume_path) with
@@ -637,8 +628,8 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
       usage_diag ~hint:"--resume already appends new verdicts to the journal it loads"
         "--journal and --resume are mutually exclusive"
   | _ -> ());
-  (* Report rendering shared by the serial and the sharded-parent
-     paths — byte-identical output is the whole point. *)
+  (* Report rendering shared by the serial and the supervised paths —
+     byte-identical output is the whole point. *)
   let emit_report campaign =
     (match format with
     | `Json -> print_endline (Fault_report.to_string campaign)
@@ -670,25 +661,8 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
     | None -> ());
     0
   in
-  (* The campaign-defining flags a parent hands its workers, shared by
-     the supervised and the legacy one-shot paths. *)
-  let campaign_argv =
-    [ Sys.executable_name; "faults"; path; "--stim"; stim_path ]
-    @ [ "--engine"; Campaign.engine_to_string engine ]
-    @ [ "-n"; string_of_int n; "--seed"; string_of_int seed ]
-    @ [ "--width"; farg width; "--slope"; farg slope ]
-    @ [ "--t-stop"; farg horizon ]
-    @ (if exhaustive then [ "--exhaustive"; "--grid"; string_of_int grid ] else [])
-    @ (match liberty with Some p -> [ "--liberty"; p ] | None -> [])
-    @ (match site_max_events with
-      | Some e -> [ "--site-max-events"; string_of_int e ]
-      | None -> [])
-    @ (if prune then [ "--prune"; "static" ] else [])
-    @ [ "--incremental"; (if incremental then "on" else "off") ]
-  in
-  match (shard, range_spec) with
-  | Some _, Some _ -> assert false (* rejected above *)
-  | None, Some (lo, hi) ->
+  match range_spec with
+  | Some (lo, hi) ->
       (* ----- supervised worker: one chunk of the site enumeration,
          fsynced per verdict with a heartbeat cursor; on a retry it
          resumes its own chunk journal, skipping quarantined sites ----- *)
@@ -699,28 +673,25 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
       in
       if resume_path <> None then
         usage_diag "--range workers resume their own --journal automatically";
-      if lo < 0 || lo >= hi || hi > sites_total then
+      if hi > sites_total then
         usage_diag
           (Printf.sprintf "--range %d:%d out of bounds for %d sites" lo hi
              sites_total);
       let open_fresh () =
-        ( [],
-          [],
+        ( cfg,
           Journal.open_new ~sync_every:1 ~cursor:true jpath
-            (Journal.header_of ~circuit:(N.name c) ~range:(lo, hi) cfg) )
+            (Journal.header_of ~circuit ~range:(lo, hi) cfg) )
       in
-      let completed, quarantined, writer =
+      let cfg, writer =
         if not (Sys.file_exists jpath) then open_fresh ()
         else
-          match Journal.load jpath with
-          | h, indexed ->
-              Journal.check h ~circuit:(N.name c) ~range:(lo, hi) cfg;
-              let entries = Journal.contiguous ~first:lo indexed in
-              let completed, quarantined = Journal.partition ~first:lo entries in
-              Printf.eprintf "faults: range [%d,%d): resuming %s: %d of %d entries kept\n%!"
-                lo hi jpath (List.length entries) (hi - lo);
-              (completed, quarantined, Journal.open_append ~sync_every:1 ~cursor:true jpath)
-          | exception Diag.Fail _ ->
+          match Journal.resume_config ~circuit ~range:(lo, hi) cfg jpath with
+          | cfg ->
+              Printf.eprintf
+                "faults: range [%d,%d): resuming %s: %d of %d entries kept\n%!" lo hi
+                jpath (decided cfg) (hi - lo);
+              (cfg, Journal.open_append ~sync_every:1 ~cursor:true jpath)
+          | exception Diag.Fail { Diag.code = "journal-parse"; _ } ->
               (* died inside the header write: nothing durable to keep *)
               open_fresh ()
       in
@@ -731,62 +702,38 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
             chaos_pre cz idx;
             Journal.write writer idx v;
             chaos_post cz ~journal:jpath)
-          { cfg with Campaign.sites; range = Some (lo, hi); completed; quarantined }
+          { cfg with Campaign.range = Some (lo, hi) }
           tech c ~drives
       in
       Journal.close writer;
       Printf.eprintf "faults: range [%d,%d): %d sites done\n%!" lo hi
         (List.length campaign.Campaign.cam_verdicts);
       0
-  | Some (k, nworkers), None ->
-      (* ----- worker: simulate one deterministic site range, journal
-         verdicts under their global indices, render nothing ----- *)
-      let lo, hi = Halotis_fault.Shard.range ~total:sites_total ~jobs:nworkers k in
-      let completed, quarantined, writer =
-        match (journal_path, resume_path) with
-        | Some p, None ->
-            ( [],
-              [],
-              Journal.open_new p
-                (Journal.header_of ~circuit:(N.name c) ~range:(lo, hi) cfg) )
-        | None, Some p ->
-            let h, indexed = Journal.load p in
-            Journal.check h ~circuit:(N.name c) ~range:(lo, hi) cfg;
-            let entries = Journal.contiguous ~first:lo indexed in
-            let completed, quarantined = Journal.partition ~first:lo entries in
-            Printf.eprintf "faults: shard %d/%d: resuming %s: %d of %d verdicts kept\n"
-              k nworkers p (List.length entries) (hi - lo);
-            (completed, quarantined, Journal.open_append p)
-        | None, None ->
-            usage_diag "a shard worker needs --journal or --resume"
-        | Some _, Some _ -> assert false
-      in
-      let campaign =
-        Campaign.run
-          ~on_verdict:(fun idx v -> Journal.write writer idx v)
-          { cfg with Campaign.sites; range = Some (lo, hi); completed; quarantined }
-          tech c ~drives
-      in
-      Journal.close writer;
-      Printf.eprintf "faults: shard %d/%d: %d sites done\n" k nworkers
-        (List.length campaign.Campaign.cam_verdicts);
-      0
-  | None, None when supervised ->
+  | None when jobs > 1 ->
       (* ----- supervised parent: a work-queue of chunk sub-ranges
          dispatched to a bounded pool, with heartbeats, retry/backoff
          and poison-site quarantine; the merged report stays
          byte-identical to --jobs 1 ----- *)
-      if limit_sites <> None then
-        usage_diag ~hint:"chunking is per worker range under --jobs"
-          "--limit-sites cannot be combined with --jobs";
       let base, user_journal =
         match (journal_path, resume_path) with
         | Some p, None | None, Some p -> (p, true)
         | None, None -> (Filename.temp_file "halotis-faults" ".journal", false)
         | Some _, Some _ -> assert false
       in
+      (* a worker gets the campaign-defining flags plus its chunk *)
       let worker_argv ~range:(lo, hi) ~journal =
-        campaign_argv
+        [ Sys.executable_name; "faults"; path; "--stim"; stim_path ]
+        @ [ "--engine"; Campaign.engine_to_string engine ]
+        @ [ "-n"; string_of_int n; "--seed"; string_of_int seed ]
+        @ [ "--width"; farg width; "--slope"; farg slope ]
+        @ [ "--t-stop"; farg horizon ]
+        @ (if exhaustive then [ "--exhaustive"; "--grid"; string_of_int grid ] else [])
+        @ (match liberty with Some p -> [ "--liberty"; p ] | None -> [])
+        @ (match site_max_events with
+          | Some e -> [ "--site-max-events"; string_of_int e ]
+          | None -> [])
+        @ (if prune then [ "--prune"; "static" ] else [])
+        @ [ "--incremental"; (if incremental then "on" else "off") ]
         @ [ "--range"; Printf.sprintf "%d:%d" lo hi ]
         @ [ "--journal"; journal ]
       in
@@ -802,29 +749,33 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
       Printf.eprintf
         "faults: supervising %d sites across %d workers (chunks of %d)\n%!"
         sites_total jobs scfg.Supervisor.sv_chunk_sites;
-      let check h =
-        match h.Journal.jh_range with
-        | Some r -> Journal.check h ~circuit:(N.name c) ~range:r cfg
-        | None -> Journal.check h ~circuit:(N.name c) cfg
-      in
-      let mk_header ~range = Journal.header_of ~circuit:(N.name c) ~range cfg in
       let outcome =
-        Supervisor.run scfg ~total:sites_total ~base ~worker_argv ~check ~mk_header
+        Supervisor.run scfg ~total:sites_total ~base ~worker_argv
+          ~check:(fun h -> Journal.check h ~circuit ?range:h.Journal.jh_range cfg)
+          ~mk_header:(fun ~range -> Journal.header_of ~circuit ~range cfg)
           ~log:(fun m -> Printf.eprintf "faults: %s\n%!" m)
           ()
       in
       let slots = outcome.Supervisor.sv_slots in
+      (* merge the chunk journals into one serial journal at the base
+         path, as if --jobs 1 had written it (quarantine records keep
+         their global indices), and resume from it: re-running zero
+         fresh sites revalidates every journaled verdict against the
+         deterministic site list and rebuilds the aggregate stats
+         exactly as a serial run would *)
       let h, indexed = Shard.load_merged ~base ~jobs:slots in
-      Journal.check h ~circuit:(N.name c) cfg;
-      let entries = Journal.contiguous ~first:0 indexed in
-      let completed, quarantined = Journal.partition ~first:0 entries in
-      (* re-running zero fresh sites revalidates every journaled verdict
-         against the deterministic site list and rebuilds the aggregate
-         stats exactly as a serial run would *)
+      let w = Journal.open_new ~sync_every:1024 base h in
+      List.iter
+        (fun (i, e) ->
+          match e with
+          | Journal.Verdict v -> Journal.write w i v
+          | Journal.Quarantined -> Journal.write_quarantine w i)
+        indexed;
+      Journal.close w;
       let campaign =
-        Campaign.run { cfg with Campaign.sites; completed; quarantined } tech c ~drives
+        Campaign.run (Journal.resume_config ~circuit cfg base) tech c ~drives
       in
-      Format.eprintf "faults: %s: %s@." (N.name c) (Fault_report.summary campaign);
+      Format.eprintf "faults: %s: %s@." circuit (Fault_report.summary campaign);
       if outcome.Supervisor.sv_retries > 0 then
         Printf.eprintf
           "faults: supervisor recovered %d worker failure%s (%d stall kill%s)\n%!"
@@ -844,21 +795,6 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
                     Printf.sprintf "%d (%s)" i
                       (Format.asprintf "%a" (Site.pp c) site))
                   qs)));
-      if user_journal then begin
-        (* leave the user one merged serial journal, as if --jobs 1 had
-           written it; quarantine records keep their global indices *)
-        let w =
-          Journal.open_new ~sync_every:1024 base
-            (Journal.header_of ~circuit:(N.name c) cfg)
-        in
-        List.iter
-          (fun (i, e) ->
-            match e with
-            | Journal.Verdict v -> Journal.write w i v
-            | Journal.Quarantined -> Journal.write_quarantine w i)
-          indexed;
-        Journal.close w
-      end;
       for k = 0 to slots - 1 do
         let jpath = Shard.journal_path base k in
         if (not keep_shards) && Sys.file_exists jpath then Sys.remove jpath;
@@ -867,136 +803,36 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
           [ Shard.stderr_path base k; jpath ^ ".cursor"; jpath ^ ".chaos" ]
       done;
       if keep_shards then
-        Printf.eprintf "faults: keeping per-chunk shard journals %s.0 .. %s.%d\n" base
-          base (slots - 1);
-      if (not user_journal) && Sys.file_exists base then Sys.remove base;
+        Printf.eprintf "faults: keeping per-chunk journals %s.0 .. %s.%d\n" base base
+          (slots - 1);
+      if not user_journal then Sys.remove base;
       let rc = emit_report campaign in
       if outcome.Supervisor.sv_exit_code <> 0 then outcome.Supervisor.sv_exit_code
       else rc
-  | None, None when jobs > 1 ->
-      (* ----- legacy one-shot parent (--supervise off): fork one worker
-         per shard, wait, merge their journals, render the serial
-         report ----- *)
-      if limit_sites <> None then
-        usage_diag ~hint:"chunking is per worker range under --jobs"
-          "--limit-sites cannot be combined with --jobs";
-      let base, user_journal =
-        match (journal_path, resume_path) with
-        | Some p, None | None, Some p -> (p, true)
-        | None, None -> (Filename.temp_file "halotis-faults" ".journal", false)
-        | Some _, Some _ -> assert false
-      in
-      let resuming = resume_path <> None in
-      let worker_plan k =
-        let jpath = Shard.journal_path base k in
-        let resume_worker = resuming && Sys.file_exists jpath in
-        let argv =
-          campaign_argv
-          @ [ "--shard"; Shard.spec_to_string (k, jobs) ]
-          @ [ (if resume_worker then "--resume" else "--journal"); jpath ]
-        in
-        (jpath, resume_worker, argv)
-      in
-      Printf.eprintf "faults: sharding %d sites across %d workers\n%!" sites_total jobs;
-      let workers =
-        List.init jobs (fun k ->
-            let jpath, resume_worker, argv = worker_plan k in
-            let range = Shard.range ~total:sites_total ~jobs k in
-            let w = Shard.spawn ~argv ~index:k ~range ~journal:jpath () in
-            Printf.eprintf "faults: worker %d (pid %d): sites [%d, %d)%s\n%!" k
-              w.Shard.wk_pid (fst range) (snd range)
-              (if resume_worker then ", resuming" else "");
-            w)
-      in
-      let results = Shard.wait_all workers in
-      let failed =
-        List.filter (fun (_, st) -> Shard.status_exit_code st <> 0) results
-      in
-      if failed <> [] then begin
-        List.iter
-          (fun ((w : Shard.worker), st) ->
-            Printf.eprintf "faults: worker %d (sites [%d, %d)): %s\n" w.Shard.wk_index
-              (fst w.Shard.wk_range) (snd w.Shard.wk_range)
-              (Shard.status_to_string st))
-          failed;
-        Printf.eprintf
-          "faults: %d of %d workers failed; their journaled verdicts survive in %s.K — \
-           re-run with --jobs %d --resume %s to finish\n"
-          (List.length failed) jobs base jobs base;
-        (* a parent without --journal/--resume used a temp base: keep
-           the shard files (they hold the survivors' work) and name it *)
-        Shard.exit_code results
-      end
-      else begin
-        let h, indexed = Shard.load_merged ~base ~jobs in
-        Journal.check h ~circuit:(N.name c) cfg;
-        let entries = Journal.contiguous ~first:0 indexed in
-        let completed, quarantined = Journal.partition ~first:0 entries in
-        (* re-running zero fresh sites revalidates every journaled
-           verdict against the deterministic site list and rebuilds the
-           aggregate stats exactly as a serial run would *)
-        let campaign =
-          Campaign.run { cfg with Campaign.sites; completed; quarantined } tech c ~drives
-        in
-        Format.eprintf "faults: %s: %s@." (N.name c) (Fault_report.summary campaign);
-        if user_journal then begin
-          (* leave the user one merged serial journal, as if --jobs 1
-             had written it *)
-          let w =
-            Journal.open_new ~sync_every:1024 base
-              (Journal.header_of ~circuit:(N.name c) cfg)
-          in
-          List.iter
-            (fun (i, e) ->
-              match e with
-              | Journal.Verdict v -> Journal.write w i v
-              | Journal.Quarantined -> Journal.write_quarantine w i)
-            indexed;
-          Journal.close w
-        end;
-        if keep_shards then
-          Printf.eprintf "faults: keeping per-worker shard journals %s.0 .. %s.%d\n" base
-            base (jobs - 1)
-        else
-          List.iter
-            (fun ((w : Shard.worker), _) ->
-              if Sys.file_exists w.Shard.wk_journal then Sys.remove w.Shard.wk_journal)
-            results;
-        if (not user_journal) && Sys.file_exists base then Sys.remove base;
-        let rc = emit_report campaign in
-        if campaign.Campaign.cam_quarantined <> [] then Stop.degraded_exit_code
-        else rc
-      end
-  | None, None ->
-      (* ----- serial: the original single-process path ----- *)
-      let completed, quarantined =
+  | None ->
+      (* ----- serial: the in-process single-worker path ----- *)
+      let cfg =
         match resume_path with
-        | None -> ([], [])
+        | None -> cfg
         | Some jpath ->
-            let h, indexed = Journal.load jpath in
-            Journal.check h ~circuit:(N.name c) cfg;
-            let entries = Journal.contiguous ~first:0 indexed in
-            let completed, quarantined = Journal.partition ~first:0 entries in
+            let cfg = Journal.resume_config ~circuit cfg jpath in
             Printf.eprintf "faults: resuming from %s: %d verdicts already decided\n"
-              jpath (List.length entries);
-            (completed, quarantined)
+              jpath (decided cfg);
+            cfg
       in
       let writer =
         match (journal_path, resume_path) with
-        | Some p, None ->
-            Some (p, Journal.open_new p (Journal.header_of ~circuit:(N.name c) cfg))
+        | Some p, None -> Some (p, Journal.open_new p (Journal.header_of ~circuit cfg))
         | None, Some p -> Some (p, Journal.open_append p)
         | None, None | Some _, Some _ -> None
       in
       let on_verdict = Option.map (fun (_, w) idx v -> Journal.write w idx v) writer in
       let campaign =
-        Campaign.run ?on_verdict
-          { cfg with Campaign.sites; completed; quarantined; limit = limit_sites }
-          tech c ~drives
+        Campaign.run ?on_verdict { cfg with Campaign.limit = limit_sites } tech c ~drives
       in
       (match writer with Some (_, w) -> Journal.close w | None -> ());
       (* Summary to stderr so stdout carries only the report document. *)
-      Format.eprintf "faults: %s: %s@." (N.name c) (Fault_report.summary campaign);
+      Format.eprintf "faults: %s: %s@." circuit (Fault_report.summary campaign);
       if not campaign.Campaign.cam_complete then begin
         (* Parked early: no report — the verdicts are durable in the
            journal and the campaign resumes from there. *)
@@ -1013,7 +849,7 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
 
 (* --- vary --- *)
 
-(* Sample k's journal lives beside the base path, mirroring the shard
+(* Sample k's journal lives beside the base path, mirroring the chunk
    naming scheme ("base.k") with an "s" so the two never collide when a
    vary campaign and a faults campaign share a directory. *)
 let sample_journal base k = Printf.sprintf "%s.s%d" base k
@@ -1058,27 +894,16 @@ let run_vary path stim_path engine seed n width slope t_stop samples sigma_devic
      serial-faults journaling discipline, so a zero-sigma sample's
      journal is byte-identical to the plain faults one. *)
   let run_sample ?jpath ?(resume = false) k =
-    let scfg = sample_cfg k in
-    let completed, quarantined, writer =
+    let circuit = N.name c and scfg = sample_cfg k in
+    let scfg, writer =
       match jpath with
-      | None -> ([], [], None)
-      | Some p ->
-          if resume && Sys.file_exists p then begin
-            let h, indexed = Journal.load p in
-            Journal.check h ~circuit:(N.name c) scfg;
-            let entries = Journal.contiguous ~first:0 indexed in
-            let completed, quarantined = Journal.partition ~first:0 entries in
-            (completed, quarantined, Some (Journal.open_append p))
-          end
-          else
-            ( [],
-              [],
-              Some (Journal.open_new p (Journal.header_of ~circuit:(N.name c) scfg)) )
+      | None -> (scfg, None)
+      | Some p when resume && Sys.file_exists p ->
+          (Journal.resume_config ~circuit scfg p, Some (Journal.open_append p))
+      | Some p -> (scfg, Some (Journal.open_new p (Journal.header_of ~circuit scfg)))
     in
     let on_verdict = Option.map (fun w idx v -> Journal.write w idx v) writer in
-    let campaign =
-      Campaign.run ?on_verdict { scfg with Campaign.completed; quarantined } tech c ~drives
-    in
+    let campaign = Campaign.run ?on_verdict scfg tech c ~drives in
     (match writer with Some w -> Journal.close w | None -> ());
     campaign
   in
@@ -1141,9 +966,7 @@ let run_vary path stim_path engine seed n width slope t_stop samples sigma_devic
               let ws =
                 List.init batch (fun i ->
                     let idx = k + i in
-                    Shard.spawn ~argv:(worker_argv idx) ~index:idx
-                      ~range:(idx, idx + 1)
-                      ~journal:(sample_journal base idx) ())
+                    Shard.spawn ~argv:(worker_argv idx) ~index:idx ())
               in
               waves (k + batch) (acc @ Shard.wait_all ws)
             end
@@ -1166,12 +989,13 @@ let run_vary path stim_path engine seed n width slope t_stop samples sigma_devic
           end;
           let loaded =
             List.init samples (fun k ->
-                let jpath = sample_journal base k in
-                let h, indexed = Journal.load jpath in
-                Journal.check h ~circuit:(N.name c) (sample_cfg k);
-                let entries = Journal.contiguous ~first:0 indexed in
-                let completed, _ = Journal.partition ~first:0 entries in
-                (k, Param_overlay.fingerprint (overlay_of k), completed))
+                let resumed =
+                  Journal.resume_config ~circuit:(N.name c) (sample_cfg k)
+                    (sample_journal base k)
+                in
+                ( k,
+                  Param_overlay.fingerprint (overlay_of k),
+                  resumed.Campaign.completed ))
           in
           let cleanup () =
             if not user_journal then begin
@@ -1672,22 +1496,11 @@ let simulate_cmd =
             "Emit a JSON result document on stdout (stats, stop reason, partial flag) \
              instead of the text summary (ddm/cdm/classic).")
   in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "When a guardrail stops the run early, serialize the committed waveform \
-             prefix (every signal, lossless hex floats) plus the stop reason to \
-             $(docv) — the durable record of a budget-stopped run (ddm/cdm only).")
-  in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
       const run_simulate $ circuit_arg $ stim_arg $ model_arg $ t_stop_arg $ vcd $ diagram
       $ liberty_arg $ report $ max_events_arg $ max_wall_arg $ max_queue_arg
-      $ max_sim_time_arg $ watchdog $ degrade $ wd_window $ wd_threshold $ json
-      $ checkpoint)
+      $ max_sim_time_arg $ watchdog $ degrade $ wd_window $ wd_threshold $ json)
 
 let faults_cmd =
   let doc = "SET fault-injection campaign: soft-error robustness analysis" in
@@ -1757,8 +1570,8 @@ let faults_cmd =
   in
   let resume =
     (* not Arg.file: under --jobs the merged journal may not exist yet —
-       only the shard files base.K do — and the worker resume path wants
-       Journal.load's own diagnostics for a missing file. *)
+       only the chunk journals base.K do — and the serial resume path
+       wants Journal.load's own diagnostics for a missing file. *)
     Arg.(
       value
       & opt (some string) None
@@ -1767,8 +1580,8 @@ let faults_cmd =
             "Resume a campaign from a checkpoint journal: completed sites are \
              skipped, new verdicts keep appending to the same file, and the final \
              report is byte-identical to an uninterrupted run. With $(b,--jobs), \
-             FILE is the base path whose per-worker shard journals (FILE.0, \
-             FILE.1, ...) are resumed.")
+             FILE is the base path whose per-chunk journals (FILE.0, FILE.1, \
+             ...) are resumed.")
   in
   let limit_sites =
     Arg.(
@@ -1794,27 +1607,16 @@ let faults_cmd =
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Shard the campaign across N worker processes, each simulating a \
-             disjoint site range and journaling its verdicts; the merged report \
-             is byte-identical to $(b,--jobs) 1 with the same seed.  N=0 \
-             auto-detects the available cores (getconf, falling back to \
-             /proc/cpuinfo).  Default: 1 (serial).")
-  in
-  let shard =
-    let parse s =
-      match Shard.parse_spec s with
-      | Some p -> Ok p
-      | None -> Error (`Msg (Printf.sprintf "invalid shard spec %S: expected K/N with 0 <= K < N" s))
-    in
-    let print fmt p = Format.pp_print_string fmt (Shard.spec_to_string p) in
-    Arg.(
-      value
-      & opt (some (conv (parse, print))) None
-      & info [ "shard" ] ~docv:"K/N"
-          ~doc:
-            "Internal (spawned by $(b,--jobs)): run as worker K of N, simulating \
-             only this shard's site range into its own journal; no report is \
-             rendered.")
+            "Run the campaign across N supervised worker processes: the site \
+             list is split into chunks dispatched to a bounded pool, each worker \
+             journals its verdicts with a heartbeat, stalled or crashed workers \
+             are killed and their chunks re-queued, and sites that repeatedly \
+             crash or hang workers are quarantined (the campaign then completes \
+             $(i,degraded), exit code 5, with the quarantined sites listed in \
+             the report).  The merged report is byte-identical to $(b,--jobs) 1 \
+             with the same seed.  N=0 auto-detects the available cores \
+             (getconf, falling back to /proc/cpuinfo).  Default: 1 (serial, \
+             in-process).")
   in
   let range =
     let parse s =
@@ -1838,21 +1640,6 @@ let faults_cmd =
              owning global site indices [LO, HI), journaling each verdict \
              fsynced with a heartbeat cursor into $(b,--journal); an existing \
              chunk journal is resumed automatically.  No report is rendered.")
-  in
-  let supervise =
-    Arg.(
-      value
-      & opt (enum [ ("auto", `Auto); ("on", `On); ("off", `Off) ]) `Auto
-      & info [ "supervise" ] ~docv:"auto|on|off"
-          ~doc:
-            "Fault-tolerant campaign supervision: split the site enumeration \
-             into chunks dispatched to a bounded worker pool, heartbeat each \
-             worker's journal progress, kill and re-queue stalled workers with \
-             exponential backoff, and quarantine sites that repeatedly crash \
-             or hang workers (the campaign then completes $(i,degraded), exit \
-             code 5, with the quarantined sites listed in the report).  auto \
-             (default) supervises whenever $(b,--jobs) > 1; off restores the \
-             one-shot spawn/wait sharding.")
   in
   let worker_timeout =
     Arg.(
@@ -1914,17 +1701,16 @@ let faults_cmd =
       value & flag
       & info [ "keep-shards" ]
           ~doc:
-            "With $(b,--jobs), keep the per-worker shard journals (FILE.0, FILE.1, \
-             ...) after a successful merge instead of deleting them — e.g. to audit \
-             each worker's verdict stream.  Failed runs always keep them.")
+            "With $(b,--jobs), keep the per-chunk journals (FILE.0, FILE.1, ...) \
+             after a successful merge instead of deleting them — e.g. to audit each \
+             worker's verdict stream.  Failed runs always keep them.")
   in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
       const run_faults $ circuit_arg $ stim_arg $ engine $ n $ seed $ width $ slope
       $ t_stop_arg $ exhaustive $ grid $ format $ vcd_dir $ liberty_arg $ journal
-      $ resume $ limit_sites $ site_max_events $ jobs $ shard $ range $ supervise
-      $ worker_timeout $ max_retries $ chunk_sites $ poison_after $ prune
-      $ incremental $ keep_shards)
+      $ resume $ limit_sites $ site_max_events $ jobs $ range $ worker_timeout
+      $ max_retries $ chunk_sites $ poison_after $ prune $ incremental $ keep_shards)
 
 let vary_cmd =
   let doc = "Monte-Carlo variation & aging campaigns over sampled parameter corners" in

@@ -431,6 +431,13 @@ let partition ~first entries =
   in
   go first [] [] entries
 
+let resume_config ~circuit ?range (cfg : Campaign.config) path =
+  let h, indexed = load path in
+  check h ~circuit ?range cfg;
+  let first = match range with Some (lo, _) -> lo | None -> 0 in
+  let completed, quarantined = partition ~first (contiguous ~first indexed) in
+  { cfg with Campaign.completed; quarantined }
+
 let merge parts =
   match parts with
   | [] -> Diag.fail ~code:"journal-merge" "no journals to merge"

@@ -7,8 +7,8 @@
     file holds a (possibly truncated) prefix of the campaign.
     [halotis faults --resume] loads it, revalidates the header against
     the requested campaign, and hands the verdicts to {!Campaign.run}'s
-    [completed] — producing a final report byte-identical to an
-    uninterrupted run.
+    [completed] ({!resume_config}) — producing a final report
+    byte-identical to an uninterrupted run.
 
     Format (line-oriented text, one record per line):
     - [# halotis-faults journal v3] — magic first line (v1 files, which
@@ -18,7 +18,7 @@
       [! params ENGINE SEED N WIDTH SLOPE T_STOP W0 W1 PRUNE] — the
       campaign fingerprint (floats printed with [%h], lossless; [PRUNE]
       is [p] or [-], absent in v1);
-    - [! range LO HI] — optional: the global site-index range a shard
+    - [! range LO HI] — optional: the global site-index range a chunk
       worker owns (absent from serial journals, whose bytes are
       unchanged from the pre-sharding format);
     - [v IDX SIGNAL GATE POL AT OUTCOME PO_DELTA FIRST_DIFF 7xCOUNTER STOP \[p\]]
@@ -31,7 +31,7 @@
       explicit record of a degraded campaign (v3).
 
     {!load} tolerates a torn final line (the crash wrote half a record)
-    by discarding it; any earlier corruption is an error.  Shard
+    by discarding it; any earlier corruption is an error.  Chunk
     journals from one campaign {!merge} by global index into the serial
     journal's record stream; {!contiguous} then recovers the plain
     entry list (or pinpoints the missing site after a worker died).
@@ -51,7 +51,7 @@ type header = {
   jh_t_stop : float;
   jh_window : (float * float) option;
   jh_range : (int * int) option;
-      (** the shard's global site-index range [\[lo, hi)]; [None] for a
+      (** the chunk's global site-index range [\[lo, hi)]; [None] for a
           serial (whole-campaign) journal *)
   jh_prune : bool;
       (** the campaign ran with static pruning; [false] for v1 journals.
@@ -127,15 +127,22 @@ val load : string -> header * (int * entry) list
 val contiguous : first:int -> (int * entry) list -> entry list
 (** Checks the indices run [first, first+1, ...] without gaps and drops
     them — the bridge from {!load}/{!merge} output to
-    {!Campaign.run}'s [completed]/[quarantined] (via {!partition}).
+    {!Campaign.run}'s [completed]/[quarantined] (see {!resume_config}).
     @raise Halotis_guard.Diag.Fail ([journal-merge]) naming the first
     missing site. *)
 
-val partition : first:int -> entry list -> Campaign.verdict list * int list
-(** Splits a {!contiguous} entry list (whose first entry owns global
-    index [first]) into the completed verdicts, in order, and the
-    global indices of the quarantined sites — the two inputs
-    {!Campaign.run} resumes from. *)
+val resume_config :
+  circuit:string -> ?range:int * int -> Campaign.config -> string -> Campaign.config
+(** [resume_config ~circuit ?range cfg path] is how every campaign
+    resumes from a journal: it {!load}s [path], {!check}s the header
+    against [cfg] and [range] (default: a serial journal), requires the
+    entries to run {!contiguous}ly from the range's first index (or 0),
+    and returns [cfg] with [completed] (the journaled verdicts, in
+    order) and [quarantined] (the global indices of the [q] records)
+    filled in — the two fields {!Campaign.run} resumes from.
+    @raise Halotis_guard.Diag.Fail with code [journal-parse] (unreadable
+    file), [journal-mismatch] (another campaign's journal) or
+    [journal-merge] (a gap in the entries). *)
 
 val merge :
   (header * (int * entry) list) list ->

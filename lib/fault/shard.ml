@@ -52,37 +52,12 @@ let detect_cores ?(getconf = fun () -> read_command_line "getconf _NPROCESSORS_O
 
 let available_cores () = detect_cores ()
 
-let range ~total ~jobs k =
-  if total < 0 then invalid_arg "Shard.range: total must be non-negative";
-  if jobs <= 0 then invalid_arg "Shard.range: jobs must be positive";
-  if k < 0 || k >= jobs then invalid_arg "Shard.range: worker index out of range";
-  (k * total / jobs, (k + 1) * total / jobs)
-
-let ranges ~total ~jobs = List.init jobs (fun k -> range ~total ~jobs k)
-
 let journal_path base k = Printf.sprintf "%s.%d" base k
 let stderr_path base k = Printf.sprintf "%s.%d.err" base k
 
-let parse_spec s =
-  match String.index_opt s '/' with
-  | None -> None
-  | Some i -> (
-      let k = String.sub s 0 i in
-      let n = String.sub s (i + 1) (String.length s - i - 1) in
-      match (int_of_string_opt k, int_of_string_opt n) with
-      | Some k, Some n when 0 <= k && k < n -> Some (k, n)
-      | _ -> None)
+type worker = { wk_index : int; wk_pid : int }
 
-let spec_to_string (k, n) = Printf.sprintf "%d/%d" k n
-
-type worker = {
-  wk_index : int;
-  wk_range : int * int;
-  wk_journal : string;
-  wk_pid : int;
-}
-
-let spawn ?stderr_file ~argv ~index ~range ~journal () =
+let spawn ?stderr_file ~argv ~index () =
   let err_fd, close_err =
     match stderr_file with
     | None -> (Unix.stderr, fun () -> ())
@@ -97,7 +72,7 @@ let spawn ?stderr_file ~argv ~index ~range ~journal () =
         Unix.create_process Sys.executable_name (Array.of_list argv) Unix.stdin
           Unix.stdout err_fd)
   in
-  { wk_index = index; wk_range = range; wk_journal = journal; wk_pid = pid }
+  { wk_index = index; wk_pid = pid }
 
 (* The last few stderr lines of a dead worker, for replay into the
    supervisor's diagnostic.  Best effort: a missing or empty capture

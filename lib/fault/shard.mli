@@ -1,24 +1,19 @@
-(** Multi-process campaign sharding.
+(** Worker-process plumbing for parallel campaigns.
 
-    A campaign's site enumeration is deterministic (seeded PRNG or an
-    exhaustive grid), so N worker processes can share it without any
-    coordination: worker [k] of [N] claims the contiguous global index
-    range {!range}[ ~total ~jobs k] and journals its verdicts — with
-    their global indices — into its own shard journal
-    ({!journal_path}).  The parent forks the workers (re-executing its
-    own binary with [--shard k/N]), waits, merges the shard journals
-    ({!Journal.merge}) and renders a report byte-identical to the
-    serial run.
+    A parallel campaign re-executes its own binary as worker processes,
+    each owning a slice of the deterministic site (or sample)
+    enumeration and journaling its verdicts under their global indices
+    into its own file ({!journal_path}).  {!Supervisor} builds its chunk
+    work-queue on these pieces, and a supervised campaign's parent
+    merges the chunk journals into the serial journal's record stream
+    with {!load_merged}; [halotis vary --jobs] spawns one worker per
+    sample with them.
 
-    Crash recovery falls out of the journal: a dead worker's completed
-    verdicts survive in its shard file, and re-running the parent with
-    [--resume] hands each worker its existing journal so only the
-    missing suffix of each range is simulated.
-
-    This module holds the process plumbing (range arithmetic, worker
-    spawn via [Unix.create_process], wait loop, exit-code folding); the
-    argv a worker receives is the caller's business — the CLI
-    reconstructs its own campaign flags. *)
+    This module holds the process plumbing (core-count detection,
+    per-worker file naming, worker spawn via [Unix.create_process],
+    wait loop, exit-code folding, merged journal loading); the argv a
+    worker receives is the caller's business — the CLI reconstructs its
+    own campaign flags. *)
 
 val available_cores : unit -> int
 (** The number of processor cores available to this process — what
@@ -48,45 +43,20 @@ val count_cpuinfo_processors : string -> int option
 (** Counts [processor] lines in [/proc/cpuinfo]-format contents;
     [None] when there are none (the caller falls through). *)
 
-val range : total:int -> jobs:int -> int -> int * int
-(** [range ~total ~jobs k] is worker [k]'s half-open global site-index
-    range [\[k*total/jobs, (k+1)*total/jobs)].  The ranges of
-    [0 .. jobs-1] partition [\[0, total)] with sizes differing by at
-    most one.
-    @raise Invalid_argument unless [0 <= k < jobs] and [total >= 0]. *)
-
-val ranges : total:int -> jobs:int -> (int * int) list
-(** All [jobs] ranges in worker order. *)
-
 val journal_path : string -> int -> string
-(** [journal_path base k] is ["base.k"] — where worker [k]'s shard
+(** [journal_path base k] is ["base.k"] — where worker (or chunk) [k]'s
     journal lives. *)
 
 val stderr_path : string -> int -> string
 (** [stderr_path base k] is ["base.k.err"] — where worker [k]'s
     captured stderr lands when the caller passes it to {!spawn}. *)
 
-val parse_spec : string -> (int * int) option
-(** Parses a [--shard] argument ["K/N"] into [(k, n)]; [None] unless
-    [0 <= k < n]. *)
-
-val spec_to_string : int * int -> string
-
 type worker = {
-  wk_index : int;
-  wk_range : int * int;
-  wk_journal : string;
+  wk_index : int;  (** the caller's worker number (chunk id, sample) *)
   wk_pid : int;
 }
 
-val spawn :
-  ?stderr_file:string ->
-  argv:string list ->
-  index:int ->
-  range:int * int ->
-  journal:string ->
-  unit ->
-  worker
+val spawn : ?stderr_file:string -> argv:string list -> index:int -> unit -> worker
 (** Forks worker [index] by re-executing [Sys.executable_name] with
     [argv] (complete, including the program name at its head); the
     child inherits stdin/stdout, and stderr too unless [stderr_file]

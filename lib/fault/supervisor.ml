@@ -110,8 +110,8 @@ let mk_chunk ~base ~id ~range =
     ch_ready_at = 0.;
   }
 
-(* Existing [base.N] chunk journals from an interrupted supervised (or
-   legacy sharded) campaign: their header ranges become resumed chunks.
+(* Existing [base.N] chunk journals from an interrupted supervised
+   campaign: their header ranges become resumed chunks.
    Unparseable files (a worker died inside the header write) carry no
    data and are removed so the final merge never trips over them. *)
 let scan_existing ~base ~total ~check =
@@ -193,12 +193,8 @@ let run cfg ~total ~base ~worker_argv ~check ~mk_header ?(log = fun _ -> ()) () 
   let spawn chunk =
     let lo, hi = chunk.ch_range in
     let argv = worker_argv ~range:chunk.ch_range ~journal:chunk.ch_journal in
-    let w =
-      Shard.spawn
-        ~stderr_file:(Shard.stderr_path base chunk.ch_id)
-        ~argv ~index:chunk.ch_id ~range:chunk.ch_range ~journal:chunk.ch_journal
-        ()
-    in
+    let stderr_file = Shard.stderr_path base chunk.ch_id in
+    let w = Shard.spawn ~stderr_file ~argv ~index:chunk.ch_id () in
     log
       (Printf.sprintf "supervisor: chunk %d [%d,%d) -> pid %d%s" chunk.ch_id lo hi
          w.Shard.wk_pid

@@ -1,12 +1,13 @@
-(** Fault-tolerant campaign supervision.
+(** Fault-tolerant campaign supervision: the process path of
+    [halotis faults --jobs N] for every [N > 1].
 
-    {!Shard} gives a campaign N one-shot workers: spawn, wait, merge.
-    One worker dying — OOM kill, node eviction, a site whose injected
-    run trips a simulator bug — loses its whole remaining range and
-    fails the campaign.  The supervisor replaces that with a
-    work-queue of {e chunks} (sub-ranges of the global site
-    enumeration, each with its own shard journal) dispatched to a
-    bounded pool:
+    A worker process can die at any point — OOM kill, node eviction, a
+    site whose injected run trips a simulator bug — and its death must
+    cost neither the campaign nor more than the work it had not yet
+    journaled.  The supervisor splits the campaign into a work-queue of
+    {e chunks} (sub-ranges of the global site enumeration, each with
+    its own chunk journal) dispatched to a bounded pool of worker
+    processes ({!Shard.spawn}):
 
     - {e heartbeats} — supervised workers fsync every verdict and
       maintain a progress cursor ({!Journal.cursor_path}); a worker
@@ -31,11 +32,10 @@
     report is byte-identical to a serial [--jobs 1] run — quarantined
     sites are the only permitted delta, and they are enumerated.
 
-    Chunk journals reuse {!Shard.journal_path} naming ([base.ID]), so
-    an interrupted supervised campaign — or a legacy one-shot sharded
-    one — resumes: {!run} scans existing [base.N] files, adopts their
-    header ranges as chunks, and covers any missing indices with fresh
-    chunks. *)
+    Chunk journals use {!Shard.journal_path} naming ([base.ID]), so
+    an interrupted supervised campaign resumes: {!run} scans existing
+    [base.N] files, adopts their header ranges as chunks, and covers
+    any missing indices with fresh chunks. *)
 
 type config = {
   sv_jobs : int;  (** worker-pool size *)

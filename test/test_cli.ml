@@ -5,6 +5,7 @@
 
 module Json = Halotis_util.Json
 module Lint = Halotis_lint.Lint
+module Journal = Halotis_fault.Journal
 
 (* Anchor on the test binary so the paths resolve both under `dune
    runtest` (cwd = build dir) and `dune exec` (cwd = invocation dir). *)
@@ -145,7 +146,7 @@ let test_faults_bad_engine () =
   in
   checkb "unknown engine rejected" true (status <> 0)
 
-(* --- Sharded campaigns: the --jobs N report must be the --jobs 1
+(* --- Supervised campaigns: the --jobs N report must be the --jobs 1
    report, byte for byte, on the 4x4 multiplier fixture --- *)
 
 let mult_faults_args =
@@ -157,24 +158,25 @@ let mult_faults_args =
 let test_faults_jobs_byte_identical () =
   let status_s, serial = run_capture mult_faults_args in
   checki "serial campaign exits 0" 0 status_s;
-  let status_j, sharded = run_capture (mult_faults_args @ [ "--jobs"; "3" ]) in
-  checki "sharded campaign exits 0" 0 status_j;
-  Alcotest.(check string) "--jobs 3 report byte-identical to serial" serial sharded
+  let status_j, supervised = run_capture (mult_faults_args @ [ "--jobs"; "3" ]) in
+  checki "supervised campaign exits 0" 0 status_j;
+  Alcotest.(check string) "--jobs 3 report byte-identical to serial" serial supervised
 
 let test_faults_jobs_crash_resume () =
-  (* A worker "crash" is a shard journal with a torn tail: run one shard
-     to completion, tear its last record in half, then let the parent
-     resume all three shards.  The other two shards start from nothing
-     (their journals never existed), the torn one re-simulates only its
-     lost suffix, and the merged report must still match serial. *)
+  (* A worker "crash" is a chunk journal with a torn tail: run the
+     supervised worker for chunk 1 (sites [3, 6) of 9) to completion,
+     tear its last record in half, then let the supervisor resume.  It
+     adopts the torn chunk, covers the missing sites with fresh chunks,
+     and the torn one re-simulates only its lost suffix: the merged
+     report must still match serial. *)
   let _, serial = run_capture mult_faults_args in
-  let base = Filename.temp_file "halotis_cli_shard" ".journal" in
+  let base = Filename.temp_file "halotis_cli_chunk" ".journal" in
   Sys.remove base;
   let shard1 = base ^ ".1" in
   let status_w, _ =
-    run_capture (mult_faults_args @ [ "--shard"; "1/3"; "--journal"; shard1 ])
+    run_capture (mult_faults_args @ [ "--range"; "3:6"; "--journal"; shard1 ])
   in
-  checki "shard worker exits 0" 0 status_w;
+  checki "chunk worker exits 0" 0 status_w;
   (* tear: drop the trailing newline and half the final record *)
   let ic = open_in_bin shard1 in
   let contents = really_input_string ic (in_channel_length ic) in
@@ -191,13 +193,15 @@ let test_faults_jobs_crash_resume () =
   let status_r, resumed =
     run_capture (mult_faults_args @ [ "--jobs"; "3"; "--resume"; base ])
   in
-  checki "resumed sharded campaign exits 0" 0 status_r;
+  checki "resumed supervised campaign exits 0" 0 status_r;
   Alcotest.(check string) "post-crash resume report byte-identical to serial" serial
     resumed;
   (* the parent leaves one merged serial journal at the base path and
-     removes the per-shard files *)
+     removes the per-chunk files *)
   checkb "merged journal written" true (Sys.file_exists base);
-  checkb "shard journals cleaned up" false (Sys.file_exists shard1);
+  checkb "chunk journals cleaned up" false (Sys.file_exists shard1);
+  checkb "chunk cursors cleaned up" false
+    (Sys.file_exists (Journal.cursor_path shard1));
   Sys.remove base
 
 (* --- survival subcommand + static pruning --- *)

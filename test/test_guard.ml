@@ -27,7 +27,7 @@ module Watchdog = Halotis_guard.Watchdog
 module Diag = Halotis_guard.Diag
 module Campaign = Halotis_fault.Campaign
 module Journal = Halotis_fault.Journal
-module Shard = Halotis_fault.Shard
+module Supervisor = Halotis_fault.Supervisor
 module Fault_report = Halotis_fault.Fault_report
 module Lint = Halotis_lint.Lint
 module Finding = Halotis_lint.Finding
@@ -433,28 +433,22 @@ let test_resume_byte_identical () =
       output_string oc "v 5 17 3 R 0x1.8p+";
       close_out oc;
       (* phase 2: load survives the torn record, resume finishes the rest *)
-      let h, indexed = Journal.load path in
-      Journal.check h ~circuit:(N.name c) cfg;
-      let completed, _ = Journal.partition ~first:0 (Journal.contiguous ~first:0 indexed) in
-      checki "torn tail dropped, five verdicts recovered" 5 (List.length completed);
+      let resumed_cfg = Journal.resume_config ~circuit:(N.name c) cfg path in
+      checki "torn tail dropped, five verdicts recovered" 5
+        (List.length resumed_cfg.Campaign.completed);
       let w2 = Journal.open_append path in
       let resumed =
-        Campaign.run
-          ~on_verdict:(fun i v -> Journal.write w2 i v)
-          { cfg with Campaign.completed }
-          DL.tech c ~drives
+        Campaign.run ~on_verdict:(fun i v -> Journal.write w2 i v) resumed_cfg DL.tech c
+          ~drives
       in
       Journal.close w2;
       checkb "resumed campaign completes" true resumed.Campaign.cam_complete;
       checks "JSON report byte-identical" want_json (Fault_report.to_string resumed);
       checks "text report byte-identical" want_text (Fault_report.to_text resumed);
       (* the finished journal now replays to a full verdict list *)
-      let _, all_indexed = Journal.load path in
-      let all, _ = Journal.partition ~first:0 (Journal.contiguous ~first:0 all_indexed) in
-      checki "journal holds every verdict" 12 (List.length all);
-      let replay =
-        Campaign.run { cfg with Campaign.completed = all } DL.tech c ~drives
-      in
+      let replay_cfg = Journal.resume_config ~circuit:(N.name c) cfg path in
+      checki "journal holds every verdict" 12 (List.length replay_cfg.Campaign.completed);
+      let replay = Campaign.run replay_cfg DL.tech c ~drives in
       checks "replayed-from-journal report byte-identical" want_json
         (Fault_report.to_string replay))
 
@@ -470,11 +464,11 @@ let test_journal_mismatch_rejected () =
       | exception Diag.Fail d -> checks "diag code" "journal-mismatch" d.Diag.code)
 
 (* ------------------------------------------------------------------ *)
-(* Shard journals: merge semantics                                     *)
+(* Chunk journals: merge semantics, loader totality                    *)
 (* ------------------------------------------------------------------ *)
 
 (* One serial campaign, journaled once; every property case below
-   reassembles shard journals out of its bytes. *)
+   reassembles or damages journals built out of its bytes. *)
 let serial_journal_fixture =
   lazy
     (let c, drives, cfg = Lazy.force campaign_fixture in
@@ -497,33 +491,37 @@ let serial_journal_fixture =
 
 let sublist lo hi l = List.filteri (fun i _ -> lo <= i && i < hi) l
 
-(* Shards with arbitrary overlaps and torn tails: merging them must
-   reproduce the serial journal whenever their (post-tear) ranges cover
-   every site, and [contiguous] must name the gap whenever they don't. *)
+(* Supervisor chunks with arbitrary overlaps and torn tails: merging
+   them must reproduce the serial journal whenever their (post-tear)
+   ranges cover every site, and [contiguous] must name the gap whenever
+   they don't.  Chunk [k] takes the [k]-th extension and tear (cycling
+   through the drawn lists when there are more chunks than draws). *)
 let prop_shard_merge_equals_serial =
   let gen =
     QCheck.Gen.(
-      2 -- 4 >>= fun jobs ->
-      list_repeat jobs (0 -- 2) >>= fun exts ->
-      list_repeat jobs bool >>= fun tears -> return (jobs, exts, tears))
+      1 -- 6 >>= fun chunk_sites ->
+      list_repeat 4 (0 -- 2) >>= fun exts ->
+      list_repeat 4 bool >>= fun tears -> return (chunk_sites, exts, tears))
   in
-  let print (jobs, exts, tears) =
-    Printf.sprintf "jobs=%d exts=[%s] tears=[%s]" jobs
+  let print (chunk_sites, exts, tears) =
+    Printf.sprintf "chunk_sites=%d exts=[%s] tears=[%s]" chunk_sites
       (String.concat ";" (List.map string_of_int exts))
       (String.concat ";" (List.map string_of_bool tears))
   in
   QCheck.Test.make ~count:60
     ~name:"journal merge of overlapping/torn shards equals the serial journal"
     (QCheck.make ~print gen)
-    (fun (jobs, exts, tears) ->
+    (fun (chunk_sites, exts, tears) ->
       let (magic, circuit, params), verdict_lines, serial_header, serial_indexed =
         Lazy.force serial_journal_fixture
       in
       let total = List.length verdict_lines in
       let covered = Array.make total false in
+      let per k l = List.nth l (k mod List.length l) in
       let files =
-        List.map
-          (fun ((lo, hi), (ext, tear)) ->
+        List.mapi
+          (fun k (lo, hi) ->
+            let ext = per k exts and tear = per k tears in
             let hi = min total (hi + ext) in
             let body = sublist lo hi verdict_lines in
             let tear = tear && body <> [] in
@@ -548,7 +546,7 @@ let prop_shard_merge_equals_serial =
             List.iter (output_string oc) body;
             close_out oc;
             path)
-          (List.combine (Shard.ranges ~total ~jobs) (List.combine exts tears))
+          (Supervisor.plan_chunks ~total ~chunk_sites)
       in
       Fun.protect
         ~finally:(fun () -> List.iter Sys.remove files)
@@ -573,28 +571,111 @@ let prop_shard_merge_equals_serial =
           | vs -> is_prefix && List.length vs = prefix_len
           | exception Diag.Fail d -> (not is_prefix) && d.Diag.code = "journal-merge"))
 
-(* Worker ranges partition the site list: every campaign size and job
-   count, no gaps, no overlaps, balanced to within one site. *)
-let prop_shard_ranges_partition =
-  QCheck.Test.make ~count:200 ~name:"shard ranges partition the site indices"
-    QCheck.(pair (int_range 0 500) (int_range 1 17))
-    (fun (total, jobs) ->
-      let rs = Shard.ranges ~total ~jobs in
-      let sizes = List.map (fun (lo, hi) -> hi - lo) rs in
-      List.length rs = jobs
-      && List.for_all (fun s -> s >= 0) sizes
-      && List.fold_left ( + ) 0 sizes = total
-      && fst (List.hd rs) = 0
-      && snd (List.nth rs (jobs - 1)) = total
-      && List.for_all2
-           (fun (_, hi) (lo, _) -> hi = lo)
-           (sublist 0 (jobs - 1) rs)
-           (List.tl rs)
-      && List.for_all (fun s -> abs (s - (total / jobs)) <= 1) sizes)
+(* The journal loader is an input boundary: whatever a journal file
+   holds — random bytes, record-shaped lines behind a valid magic line,
+   or a real journal with one byte or one line damaged — [load] either
+   returns strictly increasing indices or raises [Diag.Fail], and so
+   does the resume helper built on it.  Never any other exception.
+   Record-shaped lines start with a real record head and usually carry
+   its real arity, so they reach the field parsers instead of dying on
+   the first token. *)
+let journal_token =
+  QCheck.Gen.oneofl
+    [
+      "v"; "q"; "!"; "-"; "p"; "R"; "F"; "0"; "1"; "-1"; "17"; "4611686018427387904";
+      "0x1.8p+3"; "nan"; "inf"; "propagated"; "electrically_masked"; "E7"; "W0x1p-2";
+      "O"; "Oa;b"; "ov:"; "ov:ff"; "ddm"; "x"; "";
+    ]
 
-(* Library-level sharding: running each range separately and handing the
-   concatenated verdicts back as [completed] reproduces the serial
-   report byte for byte. *)
+let journal_record_line =
+  QCheck.Gen.(
+    oneofl
+      [
+        ("v", 16); ("q", 1); ("! params", 9); ("! params", 10); ("! range", 2);
+        ("! circuit", 1);
+      ]
+    >>= fun (head, arity) ->
+    oneof [ return arity; 0 -- 18 ] >>= fun k ->
+    list_repeat k journal_token >|= fun toks -> String.concat " " (head :: toks))
+
+let journal_mutation_gen =
+  QCheck.Gen.(
+    let line = oneof [ string_size ~gen:char (0 -- 80); journal_record_line ] in
+    oneof
+      [
+        map (fun g -> `Garbage g) (string_size ~gen:char (0 -- 200));
+        map
+          (fun ls -> `After_magic (String.concat "\n" ls))
+          (list_size (0 -- 8) journal_record_line);
+        map2 (fun pos ch -> `Byte (pos, ch)) nat char;
+        map (fun pos -> `Truncate pos) nat;
+        map3 (fun line op g -> `Line (line, op, g)) nat (0 -- 3) line;
+      ])
+
+let print_journal_mutation = function
+  | `Garbage g -> Printf.sprintf "garbage %S" g
+  | `After_magic g -> Printf.sprintf "magic + %S" g
+  | `Byte (pos, ch) -> Printf.sprintf "byte %d := %C" pos ch
+  | `Truncate pos -> Printf.sprintf "truncate at %d" pos
+  | `Line (line, op, g) -> Printf.sprintf "line %d op %d (%S)" line op g
+
+let mutate_journal (magic, circuit, params) verdict_lines mutation =
+  let lines = magic :: circuit :: params :: verdict_lines in
+  let text = String.concat "\n" lines ^ "\n" in
+  match mutation with
+  | `Garbage g -> g
+  | `After_magic g -> magic ^ "\n" ^ g
+  | `Byte (pos, ch) ->
+      let b = Bytes.of_string text in
+      Bytes.set b (pos mod Bytes.length b) ch;
+      Bytes.to_string b
+  | `Truncate pos -> String.sub text 0 (pos mod (String.length text + 1))
+  | `Line (line, op, g) ->
+      let k = line mod List.length lines in
+      List.concat
+        (List.mapi
+           (fun i l ->
+             match op with
+             | 0 when i = k -> [] (* delete *)
+             | 1 when i = k -> [ l; l ] (* duplicate *)
+             | 2 when i = k && k + 1 < List.length lines ->
+                 [ List.nth lines (k + 1) ] (* swap with the next line *)
+             | 2 when i = k + 1 -> [ List.nth lines k ]
+             | 3 when i = k -> [ g ] (* replace with garbage *)
+             | _ -> [ l ])
+           lines)
+      |> List.map (fun l -> l ^ "\n")
+      |> String.concat ""
+
+let prop_journal_load_total =
+  QCheck.Test.make ~count:2000
+    ~name:"journal load is total over garbage and mutated journals"
+    (QCheck.make ~print:print_journal_mutation journal_mutation_gen)
+    (fun mutation ->
+      let c, _, cfg = Lazy.force campaign_fixture in
+      let head, verdict_lines, _, _ = Lazy.force serial_journal_fixture in
+      with_temp_journal (fun path ->
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (mutate_journal head verdict_lines mutation));
+          let rec increasing = function
+            | a :: (b :: _ as tl) -> a < b && increasing tl
+            | [ _ ] | [] -> true
+          in
+          let loads =
+            match Journal.load path with
+            | _, indexed -> increasing (List.map fst indexed)
+            | exception Diag.Fail _ -> true
+          in
+          let resumes =
+            match Journal.resume_config ~circuit:(N.name c) cfg path with
+            | _ -> true
+            | exception Diag.Fail _ -> true
+          in
+          loads && resumes))
+
+(* Library-level chunking: running each supervisor chunk separately and
+   handing the concatenated verdicts back as [completed] reproduces the
+   serial report byte for byte. *)
 let test_range_runs_merge_byte_identical () =
   let c, drives, cfg = Lazy.force campaign_fixture in
   let serial = Campaign.run cfg DL.tech c ~drives in
@@ -603,7 +684,7 @@ let test_range_runs_merge_byte_identical () =
       (fun range ->
         (Campaign.run { cfg with Campaign.range = Some range } DL.tech c ~drives)
           .Campaign.cam_verdicts)
-      (Shard.ranges ~total:serial.Campaign.cam_sites_total ~jobs:3)
+      (Supervisor.plan_chunks ~total:serial.Campaign.cam_sites_total ~chunk_sites:5)
   in
   let merged =
     Campaign.run { cfg with Campaign.completed = verdicts } DL.tech c ~drives
@@ -677,7 +758,7 @@ let tests =
         Alcotest.test_case "journal: config mismatch rejected" `Quick
           test_journal_mismatch_rejected;
         QCheck_alcotest.to_alcotest prop_shard_merge_equals_serial;
-        QCheck_alcotest.to_alcotest prop_shard_ranges_partition;
+        QCheck_alcotest.to_alcotest prop_journal_load_total;
         Alcotest.test_case "shard: range runs merge byte-identical" `Quick
           test_range_runs_merge_byte_identical;
         Alcotest.test_case "stop: worst exit code folding" `Quick test_worst_exit_code;
